@@ -14,9 +14,7 @@ from .exact_linalg import (
 from .pep_builder import (
     STAR,
     StepsizePattern,
-    ZBlocks,
     assemble_Z,
-    block_split,
     build_basis,
     build_pep_data,
 )

@@ -11,31 +11,30 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
-from .exact_linalg import (
-    InRangeFailure,
-    PsdVerdict,
-    RatMatrix,
-    RationalParseError,
-    dot,
-    psd_check,
-    rat_from_decimal,
-    rat_to_str,
-    solve_exact,
-)
+from .exact_linalg import PsdVerdict, RatMatrix, RationalParseError, rat_from_decimal, rat_to_str
 from .pep_builder import (
     STAR,
+    PepOperator,
     StepsizePattern,
-    assemble_Z,
     bordered,
     index_set,
     m_vec,
     M_mat,
-    mat_pos,
     sum_a,
 )
+
+# The Fraction route the integer eliminations replaced (assemble Z, then LDL'
+# and rref) stays importable from here, where the benchmark's tracer rebinds it.
+from .exact_linalg import psd_check, solve_exact  # noqa: F401
+from .pep_builder import assemble_Z  # noqa: F401
+
+
+# Longest pattern a certificate file may declare: the verifier's supported range.
+MAX_T = 127
 
 
 class CertificateError(ValueError):
@@ -83,6 +82,38 @@ class Certificate:
     @property
     def t(self) -> int:
         return self.pattern.t
+
+    @property
+    def corner(self) -> Fraction:
+        """sum_i (h_i + eps): the corner of both membership blocks."""
+        return self.pattern.sum_h + self.t * self.epsilon
+
+    @cached_property
+    def operator(self) -> PepOperator:
+        return pep_operator(self.pattern, self.lam, self.gam)
+
+    @cached_property
+    def nonneg_levels(self) -> tuple[Fraction, Fraction]:
+        """[lo, hi]: the gap levels in [0, Delta] at which lambda + delta*gamma is
+        nonnegative off the diagonal, exactly (empty when lo > hi)."""
+        lo, hi = Fraction(0), self.Delta
+        for p in range(self.t + 2):
+            for q, (lv, gv) in enumerate(zip(self.lam.row(p), self.gam.row(p))):
+                if p == q:
+                    continue
+                if gv > 0:
+                    lo = max(lo, -lv / gv)
+                elif gv < 0:
+                    hi = min(hi, lv / -gv)
+                elif lv < 0:
+                    return Fraction(1), Fraction(0)
+        return lo, hi
+
+
+def pep_operator(pattern: StepsizePattern, lam: RatMatrix, gam: RatMatrix) -> PepOperator:
+    """The operator of one multiplier pair: two calls of M_mat, one per multiplier."""
+    return PepOperator(M_mat(pattern, lam), M_mat(pattern, gam), m_vec(pattern, lam),
+                       m_vec(pattern, gam), sum_a(pattern, lam), sum_a(pattern, gam))
 
 
 @dataclass(frozen=True)
@@ -172,25 +203,31 @@ def _equality_verdict(lhs: Sequence[Fraction], rhs: Sequence[Fraction]) -> Equal
 
 
 def _nonneg_verdict(mat: RatMatrix, t: int) -> NonnegVerdict:
-    bad = []
-    for i in index_set(t):
-        for j in index_set(t):
-            if i == j:
-                continue
-            v = mat.entry(mat_pos(i, t), mat_pos(j, t))
-            if v < 0:
-                bad.append((_label(i), _label(j), v))
-    return NonnegVerdict(not bad, tuple(bad))
+    labels = [_label(i) for i in index_set(t)]
+    bad = tuple((labels[p], labels[q], v) for p in range(t + 2)
+                for q, v in enumerate(mat.row(p)) if v < 0 and p != q)
+    return NonnegVerdict(not bad, bad)
 
 
 def psd_blocks(cert: Certificate) -> tuple[RatMatrix, RatMatrix]:
     """The two bordered matrices whose positive semidefiniteness is required."""
-    h = cert.pattern
-    corner = sum((hi + cert.epsilon for hi in h.h), Fraction(0))
-    mg = m_vec(h, cert.gam)
-    M0 = M_mat(h, cert.lam)
-    MD = M_mat(h, cert.lam + cert.gam.scale(cert.Delta))
-    return bordered(corner, mg, M0), bordered(corner, mg, MD)
+    op = cert.operator
+    return (bordered(cert.corner, op.m_gam, op.M_lam),
+            bordered(cert.corner, op.m_gam, op.M_lam + op.M_gam.scale(cert.Delta)))
+
+
+def _linear_verdicts(cert: Certificate) -> dict:
+    """The equality and nonnegativity conditions, keyed as in MembershipReport."""
+    op = cert.operator
+    t = cert.t
+    return {
+        "eq_lambda": _equality_verdict(op.sum_lam, _rhs_lambda(t)),
+        "eq_gamma": _equality_verdict(op.sum_gam, _rhs_gamma(cert.pattern)),
+        "m_lambda_zero": _equality_verdict(op.m_lam, (Fraction(0),) * (t + 1)),
+        "lambda_nonneg": _nonneg_verdict(cert.lam, t),
+        "lambda_plus_delta_gamma_nonneg": _nonneg_verdict(
+            cert.lam + cert.gam.scale(cert.Delta), t),
+    }
 
 
 def check_membership(cert: Certificate, *, allow_large_delta: bool = False) -> MembershipReport:
@@ -199,25 +236,15 @@ def check_membership(cert: Certificate, *, allow_large_delta: bool = False) -> M
     overall=True proves the pattern is epsilon-straightforward with
     parameter Delta: the worst-case gap after one pattern application is at
     most delta - sum(h_i - eps) * delta^2 for every normalized initial gap
-    delta in [0, Delta].
+    delta in [0, Delta]. Each bordered block is decided through its trailing
+    block by one integer elimination; a reject carries an exact witness.
     """
     _check_delta_precondition(cert, allow_large_delta)
-    h = cert.pattern
-    t = h.t
-    eq_l = _equality_verdict(sum_a(h, cert.lam), _rhs_lambda(t))
-    eq_g = _equality_verdict(sum_a(h, cert.gam), _rhs_gamma(h))
-    m_l = _equality_verdict(m_vec(h, cert.lam), (Fraction(0),) * (t + 1))
-    nn_l = _nonneg_verdict(cert.lam, t)
-    nn_ld = _nonneg_verdict(cert.lam + cert.gam.scale(cert.Delta), t)
-    X0, XD = psd_blocks(cert)
-    p0 = psd_check(X0)
-    pD = psd_check(XD)
+    op = cert.operator
+    p0 = op.eliminate(Fraction(0), rescaled=True).bordered(cert.corner)
+    pD = op.eliminate(cert.Delta, rescaled=True).bordered(cert.corner)
     return MembershipReport(
-        eq_lambda=eq_l,
-        eq_gamma=eq_g,
-        m_lambda_zero=m_l,
-        lambda_nonneg=nn_l,
-        lambda_plus_delta_gamma_nonneg=nn_ld,
+        **_linear_verdicts(cert),
         psd_at_zero=PsdConditionVerdict(p0.is_psd, p0),
         psd_at_delta=PsdConditionVerdict(pD.is_psd, pD),
     )
@@ -226,24 +253,25 @@ def check_membership(cert: Certificate, *, allow_large_delta: bool = False) -> M
 def check_pointwise(cert: Certificate, delta: Fraction) -> bool:
     """Verify lambda + delta*gamma lies in the single-gap dual feasibility set.
 
-    This cross-checks the interval certificate at one gap level by assembling
-    the full dual slack matrix directly.
+    This cross-checks the interval certificate at one gap level on the dual
+    slack matrix Z itself, with border m(lambda + delta*gamma) and corner
+    sum_i (h_i + eps) delta^2, instead of the rescaled membership blocks.
     """
     if not (0 <= delta <= cert.Delta):
         raise PreconditionError(
             f"delta={rat_to_str(delta)} outside [0, Delta={rat_to_str(cert.Delta)}]")
     h = cert.pattern
-    lam_d = cert.lam + cert.gam.scale(delta)
+    op = cert.operator
     # multiplier equality at this gap level
     rhs = list(_rhs_lambda(h.t))
     rhs[0] = -(1 - 2 * h.sum_h * delta)
     rhs[h.t] = Fraction(1)
-    if sum_a(h, lam_d) != tuple(rhs):
+    if tuple(a + delta * b for a, b in zip(op.sum_lam, op.sum_gam)) != tuple(rhs):
         return False
-    if not _nonneg_verdict(lam_d, h.t).ok:
+    lo, hi = cert.nonneg_levels
+    if not lo <= delta <= hi:
         return False
-    Z = assemble_Z(h, cert.epsilon, lam_d, delta)
-    return psd_check(Z).is_psd
+    return op.eliminate(delta, rescaled=False).bordered(cert.corner * delta * delta).is_psd
 
 
 def minimal_epsilon(
@@ -259,28 +287,31 @@ def minimal_epsilon(
     Schur complement of the corner in the two bordered blocks:
         eps_min = max(m' M0^+ m, m' MD^+ m) / t - avg(h),
     valid whenever m lies in the range of both trailing blocks and both are
-    PSD; otherwise no finite eps works and Infeasible is returned.
+    PSD; otherwise no finite eps works and Infeasible is returned. The
+    preconditions are the equality and nonnegativity conditions of
+    ``check_membership`` (and its Delta cap); they are checked on the probe
+    certificate whose operator is then used.
     """
     if check_preconditions:
         probe = Certificate(pattern, Delta, Fraction(0), lam, gam)
-        rep = check_membership(probe)
-        failures = [c for c in rep.failed_conditions() if not c.startswith("psd")]
+        _check_delta_precondition(probe, False)
+        failures = [c for c, v in _linear_verdicts(probe).items() if not v.ok]
         if failures:
             raise PreconditionError(
                 "minimal_epsilon requires the equality and nonnegativity conditions; "
                 "failing: " + ", ".join(failures))
-    h = pattern
-    m = m_vec(h, gam)
+        op = probe.operator
+    else:
+        op = pep_operator(pattern, lam, gam)
     values = []
-    for name, M in (("trailing block at 0", M_mat(h, lam)),
-                    ("trailing block at Delta", M_mat(h, lam + gam.scale(Delta)))):
-        if not psd_check(M).is_psd:
+    for name, delta in (("trailing block at 0", Fraction(0)), ("trailing block at Delta", Delta)):
+        e = op.eliminate(delta, rescaled=True)
+        if not e.psd:
             return Infeasible(f"{name} is not positive semidefinite")
-        x = solve_exact(M, m)
-        if isinstance(x, InRangeFailure):
+        if not e.in_range:
             return Infeasible(f"m(gamma) is outside the range of the {name}")
-        values.append(dot(m, x))
-    return max(values) / h.t - h.avg_h
+        values.append(e.value)
+    return max(values) / pattern.t - pattern.avg_h
 
 
 @dataclass(frozen=True)
@@ -363,16 +394,18 @@ def certificate_from_obj(obj: dict, where: str = "certificate") -> Certificate:
         if key not in obj:
             raise CertificateError(f"{where}: missing key {key!r}")
     t = obj["t"]
-    if not isinstance(t, int) or t < 1:
+    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
         raise CertificateError(f"{where}.t: expected a positive integer, got {t!r}")
+    if t > MAX_T:
+        raise CertificateError(f"{where}.t: {t} exceeds the longest supported pattern, t = {MAX_T}")
     hs = obj["h"]
     if not isinstance(hs, list) or len(hs) != t:
         raise CertificateError(f"{where}.h: expected {t} stepsizes, got "
                                f"{len(hs) if isinstance(hs, list) else hs!r}")
-    pattern = StepsizePattern(tuple(_parse_rat(v, f"{where}.h[{i}]") for i, v in enumerate(hs)))
     try:
         return Certificate(
-            pattern=pattern,
+            pattern=StepsizePattern(
+                tuple(_parse_rat(v, f"{where}.h[{i}]") for i, v in enumerate(hs))),
             Delta=_parse_rat(obj["delta"], f"{where}.delta"),
             epsilon=_parse_rat(obj["epsilon"], f"{where}.epsilon"),
             lam=_parse_matrix(obj["lambda"], t + 2, f"{where}.lambda"),
@@ -386,10 +419,16 @@ def certificate_from_obj(obj: dict, where: str = "certificate") -> Certificate:
 
 def load_certificate(path: str | Path) -> Certificate:
     path = Path(path)
+    text = path.read_text()
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise CertificateError(f"{path}: not valid JSON ({e})") from None
+    except ValueError:
+        # the only other refusal: an integer literal past CPython's digit limit
+        raise CertificateError(f"{path}: a JSON number has too many digits") from None
+    except RecursionError:
+        raise CertificateError(f"{path}: JSON nested too deeply") from None
     if not isinstance(obj, dict):
         raise CertificateError(f"{path}: expected a JSON object at top level")
     return certificate_from_obj(obj, where=str(path))

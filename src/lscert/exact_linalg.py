@@ -7,14 +7,21 @@ binary float.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Rational = Fraction
 
 _DECIMAL_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?$")
 _FRACTION_RE = re.compile(r"^[+-]?[0-9]+/[0-9]+$")
+
+
+# Longest rational literal accepted, in characters. Bundled certificate entries
+# use at most 45, and a slack just below an exact minimum with an 1100-bit
+# denominator about 700; CPython refuses to read integers past 4300 digits.
+MAX_LITERAL_CHARS = 2000
 
 
 class RationalParseError(ValueError):
@@ -30,6 +37,9 @@ def rat_from_decimal(text: str) -> Fraction:
     if not isinstance(text, str):
         raise RationalParseError(f"expected a rational literal string, got {text!r}")
     s = text.strip()
+    if len(s) > MAX_LITERAL_CHARS:
+        raise RationalParseError(
+            f"rational literal of {len(s)} characters exceeds the limit of {MAX_LITERAL_CHARS}")
     if _DECIMAL_RE.match(s):
         return Fraction(s)
     if _FRACTION_RE.match(s):
@@ -178,6 +188,12 @@ class RatMatrix:
             )
 
 
+def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(den, N) with rows = N / den entrywise and den the least common denominator."""
+    den = lcm(*(v.denominator for r in rows for v in r))
+    return den, [[v.numerator * (den // v.denominator) for v in r] for r in rows]
+
+
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"vector length mismatch {len(u)} vs {len(v)}")
@@ -312,6 +328,126 @@ def psd_check(M: RatMatrix) -> PsdVerdict:
 
     fact = LdlFactorization(tuple(perm), RatMatrix.from_rows(L), tuple(diag))
     return PsdVerdict(True, factorization=fact)
+
+
+@dataclass(frozen=True)
+class SchurElimination:
+    """Symmetric fraction-free elimination of ``[A | b]`` for an integer symmetric A.
+
+    Describes the trailing block M = A/den and the border m = b/den of a
+    bordered matrix X = [[c, m'], [m, M]], which is PSD exactly when M is
+    PSD, m lies in range(M) and c >= m' M^+ m. ``value`` is m' M^+ m when
+    the first two hold, else None. The private fields keep the pivot rows and
+    the block left when elimination stopped, from which ``bordered`` lifts an
+    exact negative witness.
+    """
+    psd: bool
+    in_range: bool
+    value: Fraction | None
+    den: int
+    _pivots: list = field(repr=False, compare=False)  # (index, remaining indices, full row)
+    _rest: list = field(repr=False, compare=False)    # upper rows of the block left
+    _ids: list = field(repr=False, compare=False)     # its indices, the border last
+    _last: int = 1                                    # last pivot: _rest is _last x Schur
+    _bad: tuple = ()                                  # not psd: offending (i, j) in _rest
+
+    def _entry(self, i: int, j: int) -> int:
+        i, j = min(i, j), max(i, j)
+        return self._rest[i][j - i]
+
+    def _lift(self, tail: dict[int, int], rhs: bool = False) -> list[Fraction]:
+        """v with v = tail on the remaining indices and each pivot coordinate chosen so
+        that its pivot row of A v (of A v - b when rhs) vanishes."""
+        n = len(self._ids) - 1 + len(self._pivots)
+        v = [Fraction(0)] * n
+        for pos, val in tail.items():
+            v[self._ids[pos]] = Fraction(val)
+        for k, ids, row in reversed(self._pivots):
+            acc = sum((c * v[j] for c, j in zip(row, ids[:-1]) if c and j != k), Fraction(0))
+            v[k] = ((row[-1] if rhs else 0) - acc) / row[ids.index(k)]
+        return v
+
+    def bordered(self, corner: Fraction) -> PsdVerdict:
+        """Decide X = [[corner, m'], [m, M]]; a reject carries v with v' X v < 0."""
+        scale = Fraction(1, self.den * self._last)
+        if not self.psd:
+            # the block left has a negative diagonal at i, or a nonzero (i, j)
+            # between two zero diagonals
+            i, j = self._bad
+            if i == j:
+                w, q = {i: 1}, self._entry(i, i)
+            else:
+                sgn = 1 if self._entry(i, j) > 0 else -1
+                w, q = {i: 1, j: -sgn}, -2 * abs(self._entry(i, j))
+            return PsdVerdict(False, witness=NegativeWitness(
+                (Fraction(0), *self._lift(w)), q * scale))
+        if not self.in_range:
+            # null vector z of M with m'z != 0; v = (1, tau z) gives c + 2 tau m'z
+            border = len(self._ids) - 1
+            f = next(i for i in range(border) if self._entry(i, border))
+            mz = self._entry(f, border) * scale
+            tau = -(abs(corner) + 1) / mz
+            return PsdVerdict(False, witness=NegativeWitness(
+                (Fraction(1), *(tau * x for x in self._lift({f: 1}))),
+                corner - 2 * (abs(corner) + 1)))
+        if corner >= self.value:
+            return PsdVerdict(True)
+        # v = (1, -x) with M x = m gives c - m'x
+        return PsdVerdict(False, witness=NegativeWitness(
+            (Fraction(1), *(-x for x in self._lift({}, rhs=True))), corner - self.value))
+
+
+def schur_eliminate(A: Sequence[Sequence[int]], b: Sequence[int], den: int) -> SchurElimination:
+    """Decide M = A/den PSD (den > 0), m = b/den in range(M), and m' M^+ m, in integers.
+
+    Bareiss's fraction-free elimination (every division exact) on the upper
+    triangle of the symmetric matrix [[A, b], [b', 0]], pivoting on the
+    largest remaining diagonal entry of A as ``psd_check`` does; the border
+    row and column are carried along and never pivoted on. After a pivot d
+    the remaining entries are d times the Schur complement, d > 0, so every
+    sign test reads the Schur complement directly and the final corner is
+    -d * m' M^+ m times den.
+    """
+    n = len(A)
+    if len(b) != n or any(len(r) != n for r in A):
+        raise ValueError("schur_eliminate needs a square block and a matching border")
+    ids = list(range(n + 1))
+    R = [[*A[i][i:], b[i]] for i in range(n)]
+    R.append([0])
+    pivots = []
+    prev = 1
+    while len(ids) > 1:
+        p = max(range(len(ids) - 1), key=lambda i: R[i][0])
+        d = R[p][0]
+        if d <= 0:
+            break
+        top = [R[i][p - i] for i in range(p)] + R[p]
+        pivots.append((ids[p], ids, top))
+        rest = []
+        for i, row in enumerate(R):
+            if i == p:
+                continue
+            f = top[i]
+            if f:
+                row = [(d * x - f * c) // prev for x, c in zip(row, top[i:])]
+            elif d != prev:
+                row = [d * x // prev for x in row]
+            if i < p:
+                del row[p - i]
+            rest.append(row)
+        R, ids, prev = rest, ids[:p] + ids[p + 1:], d
+    done = dict(_pivots=pivots, _rest=R, _ids=ids, _last=prev)
+    m = len(ids) - 1
+    for i in range(m):
+        if R[i][0] < 0:
+            return SchurElimination(False, False, None, den, **done, _bad=(i, i))
+    for i in range(m):
+        for j in range(1, m - i):
+            if R[i][j]:
+                return SchurElimination(False, False, None, den, **done, _bad=(i, i + j))
+    if any(R[i][m - i] for i in range(m)):
+        return SchurElimination(True, False, None, den, **done)
+    return SchurElimination(True, True, Fraction(-R[m][0], prev * den), den, **done)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact_linalg import RatMatrix, rat_from_decimal, rat_to_str
+from .exact_linalg import (
+    RatMatrix,
+    SchurElimination,
+    integer_rows,
+    rat_from_decimal,
+    rat_to_str,
+    schur_eliminate,
+)
 
 STAR = "*"
 Index = object  # STAR or int
@@ -141,25 +148,26 @@ class PepData:
         return self.pairs[(i, j)]
 
 
+def pair_data(basis: PepBasis, i, j) -> PairData:
+    """A_{i,j} = g_j (.) (x_i - x_j), B and C the squared versions, a_{i,j} = f_j - f_i."""
+    dx = tuple(a - b for a, b in zip(basis.x[i], basis.x[j]))
+    dg = tuple(a - b for a, b in zip(basis.g[i], basis.g[j]))
+    return PairData(
+        A=sym_outer(basis.g[j], dx),
+        B=sym_outer(dx, dx),
+        C=sym_outer(dg, dg),
+        a=tuple(a - b for a, b in zip(basis.f[j], basis.f[i])),
+    )
+
+
 def build_pep_data(h: StepsizePattern) -> PepData:
     """All A/B/C matrices and a vectors over ordered index pairs i != j.
 
-    A_{i,j} = g_j (.) (x_i - x_j), B and C are the squared versions, and
-    a_{i,j} = f_j - f_i, so that the interpolation inequality for the pair
-    reads F a_{i,j} + Tr(G A_{i,j}) + Tr(G C_{i,j})/2 <= 0.
+    The interpolation inequality for the pair (i, j) reads
+    F a_{i,j} + Tr(G A_{i,j}) + Tr(G C_{i,j})/2 <= 0.
     """
     basis = build_basis(h)
-    pairs = {}
-    for i, j in index_pairs(h.t):
-        dx = tuple(a - b for a, b in zip(basis.x[i], basis.x[j]))
-        dg = tuple(a - b for a, b in zip(basis.g[i], basis.g[j]))
-        pairs[(i, j)] = PairData(
-            A=sym_outer(basis.g[j], dx),
-            B=sym_outer(dx, dx),
-            C=sym_outer(dg, dg),
-            a=tuple(a - b for a, b in zip(basis.f[j], basis.f[i])),
-        )
-    return PepData(h, basis, pairs)
+    return PepData(h, basis, {(i, j): pair_data(basis, i, j) for i, j in index_pairs(h.t)})
 
 
 def _check_multiplier_shape(h: StepsizePattern, arg: RatMatrix, name: str) -> None:
@@ -169,22 +177,12 @@ def _check_multiplier_shape(h: StepsizePattern, arg: RatMatrix, name: str) -> No
 
 
 def sum_a(h: StepsizePattern, arg: RatMatrix) -> tuple[Fraction, ...]:
-    """sum_{i != j} arg_{i,j} a_{i,j}, exploiting that a_{i,j} = f_j - f_i."""
+    """sum_{i != j} arg_{i,j} a_{i,j}. Since a_{i,j} = f_j - f_i, entry k is the
+    off-diagonal sum of column k minus that of row k (the diagonal cancels)."""
     _check_multiplier_shape(h, arg, "multiplier matrix")
-    t = h.t
-    out = [Fraction(0)] * (t + 1)
-    for i in index_set(t):
-        pi = mat_pos(i, t)
-        for j in index_set(t):
-            if i == j:
-                continue
-            v = arg.entry(pi, mat_pos(j, t))
-            if v:
-                if j != STAR:
-                    out[j] += v
-                if i != STAR:
-                    out[i] -= v
-    return tuple(out)
+    n = h.t + 2
+    den, a = integer_rows([arg.row(p) for p in range(n)])
+    return tuple(Fraction(sum(r[k] for r in a) - sum(a[k]), den) for k in range(1, n))
 
 
 def m_vec(h: StepsizePattern, arg: RatMatrix) -> tuple[Fraction, ...]:
@@ -199,51 +197,42 @@ def m_vec(h: StepsizePattern, arg: RatMatrix) -> tuple[Fraction, ...]:
 
 
 def M_mat(h: StepsizePattern, arg: RatMatrix) -> RatMatrix:
-    """Trailing (t+1)x(t+1) block of sum arg_{i,j} (A_{i,j} + C_{i,j}/2)."""
+    """Trailing (t+1)x(t+1) block of sum arg_{i,j} (A_{i,j} + C_{i,j}/2), in O(t^2).
+
+    A part: coordinate k of x_i - x_j is h_k when i <= k < j (or i = *, k < j)
+    and -h_k when j <= k < i, so column j collects h_k * (T_j - S_j(k)) for
+    k < j and -h_k * S_j(k) for k >= j, with S_j(k) = sum_{i > k} arg_{i,j}
+    and T_j = arg_{*,j} + sum_i arg_{i,j}. C part: (g_i - g_j)(g_i - g_j)'/2.
+    """
     _check_multiplier_shape(h, arg, "multiplier matrix")
     t = h.t
     n = t + 1
-    M = [[Fraction(0)] * n for _ in range(n)]
-    half = Fraction(1, 2)
-
-    # trailing coordinates of x_i: coordinate k holds -h_k for k < i, else 0
-    def x_trail(i):
-        if i == STAR:
-            return ()
-        return tuple(-h.h[k] for k in range(i))
-
-    for i in index_set(t):
-        pi = mat_pos(i, t)
-        row = arg.row(pi)
-        for j in index_set(t):
-            if i == j:
-                continue
-            v = row[mat_pos(j, t)]
-            if not v:
-                continue
-            # A part: g_j (.) (x_i - x_j); zero when j is the minimizer
-            if j != STAR:
-                xi, xj = x_trail(i), x_trail(j)
-                top = max(len(xi), len(xj))
-                for k in range(top):
-                    wk = (xi[k] if k < len(xi) else Fraction(0)) - (
-                        xj[k] if k < len(xj) else Fraction(0))
-                    if wk:
-                        c = half * v * wk
-                        M[j][k] += c
-                        M[k][j] += c
-            # C part: (g_i - g_j)(g_i - g_j)' / 2
-            hv = half * v
-            if i == STAR:
-                M[j][j] += hv
-            elif j == STAR:
-                M[i][i] += hv
-            else:
-                M[i][i] += hv
-                M[j][j] += hv
-                M[i][j] -= hv
-                M[j][i] -= hv
-    return RatMatrix.from_rows(M)
+    # integers over den = 2 * da * dh: a = arg * da, hs = h * dh
+    da, a = integer_rows([arg.row(p) for p in range(n + 1)])
+    dh, (hs,) = integer_rows([h.h])
+    M = [[0] * n for _ in range(n)]
+    for j in range(n):
+        col = [a[i + 1][j + 1] for i in range(n)]  # arg_{i,j}, i = 0..t
+        suffix = 0
+        w = [0] * n
+        for k in range(t, -1, -1):  # suffix = S_j(k)
+            w[k] = -suffix
+            suffix += col[k]
+        total = a[0][j + 1] + suffix
+        for k in range(j):
+            w[k] += total
+        for k in range(t):  # w[t] = 0: no iterate has a g_t coordinate
+            c = hs[k] * w[k]
+            M[j][k] += c
+            M[k][j] += c
+        # C part: diagonal from every pair touching j, off-diagonal from (i, j) and (j, i)
+        M[j][j] += dh * (sum(col) + sum(a[j + 1]) - 2 * col[j] + a[0][j + 1])
+        for i in range(j + 1, n):
+            c = dh * (col[i] + a[j + 1][i + 1])
+            M[i][j] -= c
+            M[j][i] -= c
+    den = 2 * da * dh
+    return RatMatrix(n, n, [Fraction(v, den) for row in M for v in row])
 
 
 def bordered(corner: Fraction, m: Sequence[Fraction], M: RatMatrix) -> RatMatrix:
@@ -257,21 +246,43 @@ def bordered(corner: Fraction, m: Sequence[Fraction], M: RatMatrix) -> RatMatrix
     return RatMatrix.from_rows(rows)
 
 
-@dataclass(frozen=True)
-class ZBlocks:
-    """Block decomposition of the dual slack matrix: corner, first column, trailing block.
+class PepOperator:
+    """M, m and sum_a of one multiplier pair (lambda, gamma), built once.
 
-    corner is reported after the 1/delta rescaling of the first row and
-    column, i.e. it equals sum_i (h_i + eps).
+    All three maps are linear in the multiplier, so at any gap level
+    M(lambda + delta*gamma) = M(lambda) + delta*M(gamma), and likewise for m
+    and sum_a. The trailing blocks and borders are also kept as integer rows
+    over one common denominator, so that a gap level costs one integer
+    elimination and no Fraction arithmetic.
     """
-    corner: Fraction
-    m: tuple[Fraction, ...]
-    M: RatMatrix
 
+    def __init__(self, M_lam: RatMatrix, M_gam: RatMatrix, m_lam: tuple[Fraction, ...],
+                 m_gam: tuple[Fraction, ...], sum_lam: tuple[Fraction, ...],
+                 sum_gam: tuple[Fraction, ...]):
+        self.M_lam, self.M_gam = M_lam, M_gam
+        self.m_lam, self.m_gam = m_lam, m_gam
+        self.sum_lam, self.sum_gam = sum_lam, sum_gam
+        n = M_lam.rows
+        self.den, rows = integer_rows([*M_lam.to_rows(), *M_gam.to_rows(), m_lam, m_gam])
+        self._A = (rows[:n], rows[n:2 * n])
+        self._b = (rows[2 * n], rows[2 * n + 1])
 
-def block_split(h: StepsizePattern, eps: Fraction, arg: RatMatrix) -> ZBlocks:
-    corner = sum((hi + eps for hi in h.h), Fraction(0))
-    return ZBlocks(corner, m_vec(h, arg), M_mat(h, arg))
+    def eliminate(self, delta: Fraction, *, rescaled: bool) -> SchurElimination:
+        """One elimination of the trailing block M(lambda + delta*gamma) and a border.
+
+        rescaled=True: the border is m(gamma), as in the membership blocks,
+        whose first row and column are Z's divided by delta (given m(lambda)
+        = 0). rescaled=False: the border is m(lambda + delta*gamma), as in Z at
+        gap level delta.
+        """
+        p, q = delta.numerator, delta.denominator
+        (A_lam, A_gam), (b_lam, b_gam) = self._A, self._b
+        A = [[q * a + p * g for a, g in zip(ra, rg)] for ra, rg in zip(A_lam, A_gam)]
+        if rescaled:
+            b = [q * g for g in b_gam]
+        else:
+            b = [q * a + p * g for a, g in zip(b_lam, b_gam)]
+        return schur_eliminate(A, b, q * self.den)
 
 
 def assemble_Z(h: StepsizePattern, eps: Fraction, lam: RatMatrix, delta: Fraction) -> RatMatrix:

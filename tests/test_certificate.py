@@ -1,9 +1,11 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lscert.bundled import bundled_certificate, certificate_ids
+from lscert.bundled import bundled_certificate, certificate_ids, certificate_path
 from lscert.certificate import (
     Certificate,
     CertificateError,
@@ -17,8 +19,16 @@ from lscert.certificate import (
     minimal_epsilon,
     save_certificate,
 )
-from lscert.exact_linalg import RatMatrix
-from lscert.pep_builder import StepsizePattern
+from lscert.certificate import psd_blocks
+from lscert.exact_linalg import (
+    InRangeFailure,
+    RatMatrix,
+    dot,
+    psd_check,
+    quad_form,
+    solve_exact,
+)
+from lscert.pep_builder import StepsizePattern, M_mat, assemble_Z, m_vec, sum_a
 from lscert.two_step import two_step_certificate
 
 F = Fraction
@@ -156,6 +166,81 @@ class TestMinimalEpsilon:
         assert isinstance(out, Infeasible)
 
 
+def reference_eps_min(cert: Certificate):
+    """minimal_epsilon by the Fraction kernels: psd_check, then solve_exact, per block."""
+    h, m = cert.pattern, m_vec(cert.pattern, cert.gam)
+    values = []
+    for lam in (cert.lam, cert.lam + cert.gam.scale(cert.Delta)):
+        M = M_mat(h, lam)
+        x = solve_exact(M, m)
+        if not psd_check(M).is_psd or isinstance(x, InRangeFailure):
+            return None
+        values.append(dot(m, x))
+    return max(values) / h.t - h.avg_h
+
+
+def reference_pointwise(cert: Certificate, delta: Fraction) -> bool:
+    """check_pointwise on the assembled dual slack matrix, decided by psd_check."""
+    h = cert.pattern
+    lam_d = cert.lam + cert.gam.scale(delta)
+    rhs = [F(0)] * (h.t + 1)
+    rhs[0], rhs[h.t] = -(1 - 2 * h.sum_h * delta), F(1)
+    if sum_a(h, lam_d) != tuple(rhs):
+        return False
+    if any(lam_d.entry(i, j) < 0 for i in range(h.t + 2) for j in range(h.t + 2) if i != j):
+        return False
+    return psd_check(assemble_Z(h, cert.epsilon, lam_d, delta)).is_psd
+
+
+def altered(cert: Certificate, seed: int) -> Certificate:
+    """The certificate with one off-diagonal multiplier entry moved slightly."""
+    rng = random.Random(seed)
+    which = rng.choice(("lam", "gam"))
+    rows = getattr(cert, which).to_rows()
+    i, j = rng.sample(range(cert.t + 2), 2)
+    rows[i][j] += F(rng.randrange(1, 2 ** 20), 2 ** 30) * rng.choice((1, -1))
+    mats = {"lam": cert.lam, "gam": cert.gam, which: RatMatrix.from_rows(rows)}
+    return Certificate(cert.pattern, cert.Delta, cert.epsilon, mats["lam"], mats["gam"])
+
+
+class TestAgreesWithFractionKernels:
+    """The integer eliminations decide exactly what psd_check and solve_exact decide."""
+
+    @pytest.fixture(scope="class")
+    def certs(self):
+        out = []
+        for pid in ("t2", "t3", "t7", "t15"):
+            c = bundled_certificate(pid)
+            out += [c] + [altered(c, seed) for seed in range(3)]
+        t7 = bundled_certificate("t7")
+        em = minimal_epsilon(t7.pattern, t7.Delta, t7.lam, t7.gam)
+        out.append(Certificate(t7.pattern, t7.Delta, em * F(12345, 2 ** 24), t7.lam, t7.gam))
+        out.append(two_step_certificate(F(1, 3)))
+        return out
+
+    def test_membership_and_witnesses(self, certs):
+        for cert in certs:
+            rep = check_membership(cert)
+            for cond, X in zip((rep.psd_at_zero, rep.psd_at_delta), psd_blocks(cert)):
+                assert cond.ok == psd_check(X).is_psd
+                if not cond.ok:
+                    w = cond.verdict.witness
+                    assert quad_form(X, w.vector) == w.value < 0
+
+    def test_minimal_epsilon(self, certs):
+        for cert in certs:
+            em = minimal_epsilon(cert.pattern, cert.Delta, cert.lam, cert.gam,
+                                 check_preconditions=False)
+            ref = reference_eps_min(cert)
+            assert (None if isinstance(em, Infeasible) else em) == ref
+
+    def test_pointwise(self, certs):
+        for cert in certs:
+            for k in (0, 1, 3, 4):
+                delta = cert.Delta * k / 4
+                assert check_pointwise(cert, delta) == reference_pointwise(cert, delta)
+
+
 class TestGuarantee:
     def test_t7_coefficient(self, t7):
         g = guarantee_of(t7, check_membership(t7))
@@ -181,6 +266,60 @@ class TestGuarantee:
         g = guarantee_of(t7, check_membership(t7))
         t = t7.pattern.t
         assert g.avg_minus_eps * t + t7.epsilon * t == t7.pattern.sum_h
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-10 ** 40, 10 ** 40), st.floats(),
+              st.text(max_size=6)),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+LITERALS = st.sampled_from(["0", "-1", "-3/2", "1/0", "1e3", "2.2", "1/3", "3" * 2001])
+MUTANTS = st.one_of(LITERALS, LITERALS, st.integers(-3, 200), JSON_VALUES)
+
+
+def t3_with(key, value, index=None):
+    obj = json.loads(certificate_path("t3").read_text())
+    if index is None:
+        obj[key] = value
+    elif isinstance(index, tuple):
+        obj[key][index[0]][index[1]] = value
+    else:
+        obj[key][index] = value
+    return obj
+
+
+class TestHostileDocuments:
+    @pytest.mark.parametrize("key,value,index", [
+        ("t", True, None), ("t", 128, None), ("t", 10 ** 40, None), ("t", 2.5, None),
+        ("h", "-3/2", 0), ("h", "0", 2), ("h", "3" * 2001, 1), ("h", None, 1),
+        ("delta", "0", None), ("delta", "1/0", None), ("epsilon", "-1", None),
+        ("lambda", [["0"] * 5] * 4, None), ("gamma", ["0"], 2), ("gamma", 7, (1, 2)),
+    ])
+    def test_refused_as_certificate_error(self, key, value, index):
+        with pytest.raises(CertificateError):
+            certificate_from_obj(t3_with(key, value, index))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_mutated_t3_ends_in_a_verdict_or_certificate_error(self, data):
+        # property: any mutant of a bundled document is decided or refused as a
+        # CertificateError, never another exception
+        key = data.draw(st.sampled_from(["h", "lambda", "gamma", "t", "delta", "epsilon"]))
+        obj = json.loads(certificate_path("t3").read_text())
+        where = obj[key]
+        if isinstance(where, list) and data.draw(st.integers(0, 3)) < 3:
+            i = data.draw(st.integers(0, len(where) - 1))
+            if isinstance(where[i], list) and data.draw(st.integers(0, 3)) < 3:
+                where, i = where[i], data.draw(st.integers(0, len(where[i]) - 1))
+            where[i] = data.draw(MUTANTS)
+        else:
+            obj[key] = data.draw(MUTANTS)
+        try:
+            cert = certificate_from_obj(obj)
+            check_membership(cert)
+        except CertificateError:
+            pass
 
 
 class TestSerialization:

@@ -47,6 +47,42 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "junk.json" in err
 
+    def hostile(self, capsys, tmp_path, edit, text=None) -> tuple[int, str]:
+        obj = json.loads(certificate_path("t3").read_text())
+        edit(obj)
+        bad = tmp_path / "hostile.json"
+        bad.write_text(text if text is not None else json.dumps(obj))
+        code, _, err = run(capsys, "verify", str(bad))
+        assert "set_int_max_str_digits" not in err and "internal error" not in err
+        return code, err
+
+    def test_boolean_t_exits_2(self, capsys, tmp_path):
+        code, err = self.hostile(capsys, tmp_path, lambda o: o.update(t=True))
+        assert code == EXIT_USAGE
+        assert ".t: expected a positive integer, got True" in err
+
+    def test_t_above_127_exits_2(self, capsys, tmp_path):
+        code, err = self.hostile(capsys, tmp_path, lambda o: o.update(t=128))
+        assert code == EXIT_USAGE
+        assert "t = 127" in err
+
+    def test_5000_digit_entry_exits_2(self, capsys, tmp_path):
+        code, err = self.hostile(capsys, tmp_path,
+                                 lambda o: o["h"].__setitem__(0, "1" * 5000))
+        assert code == EXIT_USAGE
+        assert "h[0]" in err and "exceeds the limit of 2000" in err
+
+    def test_5000_digit_json_number_exits_2(self, capsys, tmp_path):
+        text = certificate_path("t3").read_text().replace('"t": 3', '"t": ' + "3" * 5000)
+        code, err = self.hostile(capsys, tmp_path, lambda o: None, text)
+        assert code == EXIT_USAGE
+        assert "too many digits" in err
+
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        code, err = self.hostile(capsys, tmp_path, lambda o: None, "[" * 200000 + "]" * 200000)
+        assert code == EXIT_USAGE
+        assert "nested too deeply" in err
+
     def test_batch_jobs(self, capsys):
         code, out, _ = run(capsys, "verify", str(certificate_path("t2")),
                            str(certificate_path("t3")), "--jobs", "2")

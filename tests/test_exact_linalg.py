@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,16 +6,21 @@ import numpy as np
 import pytest
 
 from lscert.exact_linalg import (
+    MAX_LITERAL_CHARS,
     InRangeFailure,
     RatMatrix,
     RationalParseError,
+    dot,
+    integer_rows,
     psd_check,
     quad_form,
     rat_from_decimal,
     rat_to_str,
     rref,
+    schur_eliminate,
     solve_exact,
 )
+from lscert.pep_builder import bordered
 
 
 class TestParsing:
@@ -41,6 +47,11 @@ class TestParsing:
         with pytest.raises(RationalParseError) as ei:
             rat_from_decimal(bad)
         assert repr(bad) in str(ei.value) or bad in str(ei.value)
+
+    def test_literal_length_cap(self):
+        assert rat_from_decimal("7" * MAX_LITERAL_CHARS) == int("7" * MAX_LITERAL_CHARS)
+        with pytest.raises(RationalParseError, match="exceeds the limit"):
+            rat_from_decimal("1/" + "3" * MAX_LITERAL_CHARS)
 
     def test_round_trip_text(self):
         assert rat_to_str(Fraction(-7, 3)) == "-7/3"
@@ -155,6 +166,130 @@ class TestSolveExact:
             x = solve_exact(M, b)
             assert not isinstance(x, InRangeFailure)
             assert M.matvec(x) == b
+
+
+def eliminate(M: RatMatrix, m):
+    """The integer kernel on M and m scaled to integers by one common denominator."""
+    den, rows = integer_rows([*M.to_rows(), m])
+    return schur_eliminate(rows[:-1], rows[-1], den)
+
+
+def random_block(rng: random.Random, kind: str, n: int):
+    """A seeded symmetric rational trailing block and a border of the named kind."""
+    def rat():
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 12))
+
+    if kind == "zero":
+        M = RatMatrix.zeros(n)
+    elif kind in ("indefinite", "zero_diagonal"):
+        rows = [[rat() if kind == "indefinite" or i != j else Fraction(0) for j in range(n)]
+                for i in range(n)]
+        M = RatMatrix.from_rows([[rows[min(i, j)][max(i, j)] for j in range(n)]
+                                 for i in range(n)])
+    elif kind == "padded":
+        # a PSD block on a random subset of the indices, zero rows and columns elsewhere
+        keep = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+        H = RatMatrix.from_rows([[rat() for _ in keep] for _ in keep])
+        K = H.transpose() @ H
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for a, i in enumerate(keep):
+            for b, j in enumerate(keep):
+                rows[i][j] = K.entry(a, b)
+        M = RatMatrix.from_rows(rows)
+    else:
+        r = n if kind in ("full_rank", "big_corner") else rng.randrange(1, max(n, 2))
+        H = RatMatrix.from_rows([[rat() for _ in range(n)] for _ in range(r)])
+        M = H.transpose() @ H
+        if kind == "full_rank":
+            M = M + RatMatrix.identity(n).scale(Fraction(1, rng.randrange(1, 50)))
+    if rng.random() < 0.7:
+        m = M.matvec(tuple(rat() for _ in range(n)))  # in range(M)
+    else:
+        m = tuple(rat() for _ in range(n))
+    return M, m
+
+
+KINDS = ("full_rank", "singular", "padded", "indefinite", "zero_diagonal", "zero", "big_corner")
+
+
+def corners(rng: random.Random, kind: str, M: RatMatrix, m):
+    """Corners on both sides of m' M^+ m where it exists, else arbitrary ones."""
+    x = solve_exact(M, m)
+    base = Fraction(0) if isinstance(x, InRangeFailure) else dot(m, x)
+    if kind == "big_corner":
+        tiny = Fraction(rng.getrandbits(1100) | 1, (rng.getrandbits(1100) | 1) << 1100)
+        out = [base + tiny, base - tiny]
+        assert all(c.denominator.bit_length() > 1000 for c in out)
+        return out
+    return [base, base + Fraction(1, rng.randrange(1, 100)),
+            base - Fraction(1, rng.randrange(1, 100)), Fraction(rng.randrange(-3, 4))]
+
+
+class TestSchurEliminationDifferential:
+    """The integer kernel against the Fraction LDL' psd_check, solve_exact and sympy."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_against_psd_check_and_solve_exact(self, kind):
+        rng = random.Random(f"schur-{kind}")
+        rejects = 0
+        for _ in range(40):
+            M, m = random_block(rng, kind, rng.randrange(1, 9))
+            e = eliminate(M, m)
+            assert e.psd == psd_check(M).is_psd
+            x = solve_exact(M, m)
+            if e.psd:
+                assert e.in_range == (not isinstance(x, InRangeFailure))
+            if e.psd and e.in_range:
+                assert e.value == dot(m, x)
+            for c in corners(rng, kind, M, m):
+                X = bordered(c, m, M)
+                verdict = e.bordered(c)
+                assert verdict.is_psd == psd_check(X).is_psd
+                if not verdict.is_psd:
+                    rejects += 1
+                    w = verdict.witness
+                    assert w.value < 0
+                    assert quad_form(X, w.vector) == w.value
+        assert rejects > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_against_sympy(self, kind):
+        # Sylvester's criterion: PSD exactly when every principal minor is >= 0
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(f"sympy-{kind}")
+        for _ in range(12):
+            M, m = random_block(rng, kind, rng.randrange(1, 5))
+            e = eliminate(M, m)
+            for c in corners(rng, kind, M, m)[:2]:
+                X = bordered(c, m, M)
+                S = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in X.row(i)]
+                                  for i in range(X.rows)])
+                minors = (S.extract(list(idx), list(idx)).det(method="bareiss")
+                          for r in range(1, X.rows + 1)
+                          for idx in itertools.combinations(range(X.rows), r))
+                assert e.bordered(c).is_psd == all(d >= 0 for d in minors)
+
+    def test_zero_trailing_block(self):
+        M = RatMatrix.zeros(3)
+        e = eliminate(M, (Fraction(0),) * 3)
+        assert e.psd and e.in_range and e.value == 0
+        assert e.bordered(Fraction(0)).is_psd
+        assert not e.bordered(Fraction(-1, 3)).is_psd
+        out = eliminate(M, (Fraction(0), Fraction(1, 2), Fraction(0)))
+        assert out.psd and not out.in_range
+        X = bordered(Fraction(5), (Fraction(0), Fraction(1, 2), Fraction(0)), M)
+        w = out.bordered(Fraction(5)).witness
+        assert quad_form(X, w.vector) == w.value < 0
+
+    def test_failed_corner_witness_is_one_minus_x(self):
+        M = RatMatrix.from_rows([[2, 1], [1, 1]])
+        m = (Fraction(1), Fraction(1))
+        e = eliminate(M, m)
+        x = solve_exact(M, m)
+        assert e.value == dot(m, x) == 1
+        w = e.bordered(Fraction(1, 2)).witness
+        assert w.vector == (Fraction(1), *(-xi for xi in x))
+        assert w.value == Fraction(1, 2) - dot(m, x)
 
 
 class TestRref:

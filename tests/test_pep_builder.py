@@ -8,7 +8,6 @@ from lscert.pep_builder import (
     STAR,
     StepsizePattern,
     assemble_Z,
-    block_split,
     bordered,
     build_basis,
     build_pep_data,
@@ -16,6 +15,7 @@ from lscert.pep_builder import (
     m_vec,
     M_mat,
     mat_pos,
+    pair_data,
     sum_a,
 )
 
@@ -161,29 +161,33 @@ class TestZAssembly:
         h, lam, _ = two_step_family(F(1))
         assert m_vec(h, lam) == (F(0), F(0), F(0))
 
-    def test_block_split_zero(self, h29_15):
-        zb = block_split(h29_15, F(1, 100), RatMatrix.zeros(4))
-        assert zb.corner == F(22, 5) + 2 * F(1, 100)
-        assert all(v == 0 for v in zb.m)
-        assert zb.M == RatMatrix.zeros(3)
-
     def test_equality_sums_match_dense_pep_data(self, h29_15):
-        # sparse accumulators agree with the dense A/B/C/a construction
+        # sparse accumulators and the O(t^2) M_mat agree with the dense A/B/C/a
+        # construction; past t = 7 a seeded sample of 64 pairs carries the
+        # multipliers, since dense matrices for every pair take minutes there
         rng = random.Random(9)
-        d = build_pep_data(h29_15)
-        arg_rows = [[F(0)] * 4 for _ in range(4)]
-        for i, j in index_pairs(2):
-            arg_rows[mat_pos(i, 2)][mat_pos(j, 2)] = F(rng.randrange(-5, 6), rng.randrange(1, 4))
-        arg = RatMatrix.from_rows(arg_rows)
-        dense_sum = [F(0)] * 3
-        dense_Z = RatMatrix.zeros(4)
-        for i, j in index_pairs(2):
-            pd = d.pair(i, j)
-            c = arg.entry(mat_pos(i, 2), mat_pos(j, 2))
-            dense_sum = [s + c * a for s, a in zip(dense_sum, pd.a)]
-            dense_Z = dense_Z + (pd.A + pd.C.scale(F(1, 2))).scale(c)
-        assert sum_a(h29_15, arg) == tuple(dense_sum)
-        assert assemble_Z(h29_15, F(0), arg, F(0)) == dense_Z
+        patterns = [h29_15] + [
+            StepsizePattern(tuple(F(rng.randrange(1, 60), rng.randrange(1, 9)) for _ in range(t)))
+            for t in (1, 2, 3, 7, 15, 31)]
+        for h in patterns:
+            t = h.t
+            basis = build_basis(h)
+            pairs = list(index_pairs(t))
+            if t > 7:
+                pairs = rng.sample(pairs, 64)
+            arg_rows = [[F(0)] * (t + 2) for _ in range(t + 2)]
+            for i, j in pairs:
+                arg_rows[mat_pos(i, t)][mat_pos(j, t)] = F(rng.randrange(-5, 6), rng.randrange(1, 4))
+            arg = RatMatrix.from_rows(arg_rows)
+            dense_sum = [F(0)] * (t + 1)
+            dense_Z = RatMatrix.zeros(t + 2)
+            for i, j in pairs:
+                pd = pair_data(basis, i, j)
+                c = arg.entry(mat_pos(i, t), mat_pos(j, t))
+                dense_sum = [s + c * a for s, a in zip(dense_sum, pd.a)]
+                dense_Z = dense_Z + (pd.A + pd.C.scale(F(1, 2))).scale(c)
+            assert sum_a(h, arg) == tuple(dense_sum)
+            assert assemble_Z(h, F(0), arg, F(0)) == dense_Z
 
     def test_linearity_of_m_and_M(self, h29_15):
         rng = random.Random(13)
