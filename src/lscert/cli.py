@@ -352,6 +352,8 @@ def main(argv=None) -> int:
         if e.residuals:
             print("best residuals: " + json.dumps(
                 {k: float(f"{v:.3e}") for k, v in e.residuals.items()}), file=sys.stderr)
+        if e.solver:
+            print("solver: " + json.dumps(e.solver), file=sys.stderr)
         return EXIT_FALSE
     except RoundingFailure as e:
         print(f"rounding failed: {e}", file=sys.stderr)

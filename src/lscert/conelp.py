@@ -17,7 +17,7 @@ inner products.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,19 +66,41 @@ def svec_identity(p: int) -> np.ndarray:
 
 @dataclass
 class ConicResult:
-    status: str                 # "optimal", "max_iters", "numerical"
+    """The point a solve returns and how the solve ended.
+
+    ``status`` is "optimal" (every measure within tol), "stalled" (the best
+    point did not improve for STALL_WINDOW iterations, or the step fell to
+    1e-14 or below), "breakdown" (non-finite residuals, or a failed
+    factorization in the scaling or in a Newton step) or "max_iters" (the
+    last iterate). Short of "optimal", "stalled" and "breakdown" return the
+    best point seen: the one with the smallest max(primal_residual,
+    dual_residual, rel_gap).
+    """
+    status: str
     y: np.ndarray
     x: np.ndarray               # cone-space primal variable (svec form)
     s: np.ndarray               # cone-space dual slack (svec form)
     objective: float            # b'y at the returned point
-    iterations: int
+    iterations: int             # Newton steps taken before the solve ended
+    snapshot_iteration: int     # Newton steps taken to reach the returned point
     primal_residual: float
     dual_residual: float
     rel_gap: float
+    factorizations: int = 0
+    jitter_retries: int = 0
+    lstsq_fallbacks: int = 0
 
     @property
     def converged(self) -> bool:
         return self.status == "optimal"
+
+    def summary(self) -> dict[str, str | int]:
+        """How the solve ended, as plain values for reports and errors."""
+        return {"status": self.status, "iterations": self.iterations,
+                "snapshot_iteration": self.snapshot_iteration,
+                "factorizations": self.factorizations,
+                "jitter_retries": self.jitter_retries,
+                "lstsq_fallbacks": self.lstsq_fallbacks}
 
 
 class _Scaling:
@@ -274,18 +296,64 @@ class _Schur:
         return H
 
 
-def _chol_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    jitter = 0.0
+JITTER_RUNGS = 6
+# the solve returns its best snapshot once that many iterations in a row fail
+# to improve it (the widest gap between improvements seen is 7 iterations)
+STALL_WINDOW = 20
+
+
+@dataclass
+class _Events:
+    factorizations: int = 0     # successful Cholesky factorizations of a Schur matrix
+    jitter_retries: int = 0     # moves to the next rung of the jitter ladder
+    lstsq_fallbacks: int = 0    # solves left to least squares once every rung failed
+
+
+def _chol_factor(H: np.ndarray, events: _Events, first_rung: int = 0
+                 ) -> tuple[np.ndarray | None, int]:
+    """Cholesky factor of H + jitter*I at the first rung >= ``first_rung``
+    of the jitter ladder that factors, with that rung; (None, JITTER_RUNGS)
+    once every rung has failed. The jitters are 0, then 1e-14 of the mean
+    diagonal, growing 100-fold per rung."""
     base = float(np.mean(np.diag(H))) if H.shape[0] else 1.0
-    for _ in range(6):
-        try:
-            L = np.linalg.cholesky(H + jitter * np.eye(H.shape[0]))
-            z = np.linalg.solve(L, rhs)
-            return np.linalg.solve(L.T, z)
-        except np.linalg.LinAlgError:
-            jitter = max(base * 1e-14, jitter * 100 if jitter else base * 1e-14)
-    # fall back to least squares on numerically tough systems
-    return np.linalg.lstsq(H, rhs, rcond=None)[0]
+    jitter = 0.0
+    for rung in range(JITTER_RUNGS):
+        if rung >= first_rung:
+            try:
+                L = np.linalg.cholesky(H + jitter * np.eye(H.shape[0]))
+            except np.linalg.LinAlgError:
+                events.jitter_retries += 1
+            else:
+                events.factorizations += 1
+                return L, rung
+        jitter = max(base * 1e-14, jitter * 100 if jitter else base * 1e-14)
+    return None, JITTER_RUNGS
+
+
+class _CholSolver:
+    """Solves with the Schur matrix H of one iteration, factored once.
+
+    A triangular solve that fails moves the factor to the next rung of the
+    ladder, for this and every later solve: whether a rung's factor solves
+    depends on H alone. Once every rung has failed, solves fall back to
+    least squares.
+    """
+
+    def __init__(self, H: np.ndarray, events: _Events):
+        self.H = H
+        self.events = events
+        self.L, self.rung = _chol_factor(H, events)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        while self.L is not None:
+            try:
+                z = np.linalg.solve(self.L, rhs)
+                return np.linalg.solve(self.L.T, z)
+            except np.linalg.LinAlgError:
+                self.events.jitter_retries += 1
+                self.L, self.rung = _chol_factor(self.H, self.events, self.rung + 1)
+        self.events.lstsq_fallbacks += 1
+        return np.linalg.lstsq(self.H, rhs, rcond=None)[0]
 
 
 def solve_conic(
@@ -308,6 +376,7 @@ def solve_conic(
         raise ValueError("b/c shapes do not match A")
 
     schur = _Schur(A, dims)
+    events = _Events()
     # least-squares start shifted into the cone: keeps the initial residuals
     # commensurate with the complementarity scale
     y = np.linalg.lstsq(A, c, rcond=None)[0]
@@ -318,7 +387,13 @@ def solve_conic(
     cnorm = 1.0 + float(np.linalg.norm(c))
     best = None
 
-    for it in range(1, opts.max_iters + 1):
+    def finish(result: ConicResult, status: str, iterations: int) -> ConicResult:
+        return replace(result, status=status, iterations=iterations,
+                       factorizations=events.factorizations,
+                       jitter_retries=events.jitter_retries,
+                       lstsq_fallbacks=events.lstsq_fallbacks)
+
+    for it in range(opts.max_iters):
         rx = A.T @ x - b            # primal equality residual
         rs = A @ y + s - c          # dual residual
         gap = float(np.dot(x, s))
@@ -329,36 +404,38 @@ def solve_conic(
         relgap = gap / max(1.0, abs(pobj), abs(dobj))
         if not all(map(np.isfinite, (gap, pobj, dobj, pres, dres))):
             if best is not None:
-                best.status = "numerical"
-                return best
-            return ConicResult("numerical", y, x, s, dobj, it - 1,
-                               float("inf"), float("inf"), float("inf"))
+                return finish(best, "breakdown", it)
+            inf = float("inf")
+            return finish(ConicResult("", y, x, s, dobj, it, it, inf, inf, inf),
+                          "breakdown", it)
 
-        snapshot = ConicResult("running", y.copy(), x.copy(), s.copy(), dobj,
-                               it - 1, pres, dres, relgap)
         if best is None or max(pres, dres, relgap) < max(
                 best.primal_residual, best.dual_residual, best.rel_gap):
-            best = snapshot
+            best = ConicResult("", y.copy(), x.copy(), s.copy(), dobj, it, it,
+                               pres, dres, relgap)
         if opts.verbose:
-            print(f"  it {it:3d}  pres {pres:9.2e}  dres {dres:9.2e}  "
+            print(f"  it {it + 1:3d}  pres {pres:9.2e}  dres {dres:9.2e}  "
                   f"gap {relgap:9.2e}  obj {dobj:+.9e}")
         if pres <= opts.tol and dres <= opts.tol and relgap <= opts.tol:
-            return ConicResult("optimal", y, x, s, dobj, it - 1, pres, dres, relgap)
+            return finish(ConicResult("", y, x, s, dobj, it, it, pres, dres, relgap),
+                          "optimal", it)
+        if it - best.snapshot_iteration >= STALL_WINDOW:
+            return finish(best, "stalled", it)
 
         try:
             sc = _Scaling(dims, x, s)
             mu = sc.mu()
             H = schur.factor(sc)
         except (np.linalg.LinAlgError, FloatingPointError):
-            best.status = "numerical"
-            return best
+            return finish(best, "breakdown", it)
+        chol = _CholSolver(H, events)
 
         def newton(dtarget: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             # A' W^2 A dy = -rx - A' W(dtarget_unscaled) - A' W^2 rs
             wd = sc.unscale_x(dtarget)
             rhs = -rx - A.T @ wd - A.T @ sc.apply_w2(rs)
-            dy = _chol_solve(H, rhs)
-            dy += _chol_solve(H, rhs - H @ dy)  # one round of refinement
+            dy = chol.solve(rhs)
+            dy += chol.solve(rhs - H @ dy)  # one round of refinement
             ds = -rs - A @ dy
             dx = wd - sc.apply_w2(ds)
             return dx, dy, ds
@@ -387,13 +464,11 @@ def solve_conic(
             ap = sc.step_to_boundary("x", dxb)
             ad = sc.step_to_boundary("s", dsb)
         except (np.linalg.LinAlgError, FloatingPointError):
-            best.status = "numerical"
-            return best
+            return finish(best, "breakdown", it)
         alpha_p = min(1.0, opts.step_frac * ap)
         alpha_d = min(1.0, opts.step_frac * ad)
         if min(alpha_p, alpha_d) <= 1e-14:
-            best.status = "numerical"
-            return best
+            return finish(best, "stalled", it)
         x = x + alpha_p * dx
         y = y + alpha_d * dy
         s = s + alpha_d * ds
@@ -404,5 +479,6 @@ def solve_conic(
     pres = float(np.linalg.norm(rx)) / bnorm
     dres = float(np.linalg.norm(rs)) / cnorm
     relgap = gap / max(1.0, abs(float(np.dot(c, x))), abs(float(np.dot(b, y))))
-    return ConicResult("max_iters", y, x, s, float(np.dot(b, y)),
-                       opts.max_iters, pres, dres, relgap)
+    n_it = opts.max_iters
+    return finish(ConicResult("", y, x, s, float(np.dot(b, y)), n_it, n_it, pres, dres, relgap),
+                  "max_iters", n_it)

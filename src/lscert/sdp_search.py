@@ -45,12 +45,15 @@ DEFAULT_GENERATION_MAX_T = 31   # numerical generation supported by default
 class NotFound(Exception):
     """The numerical search exhausted its budget without an approximate member.
 
-    This is NOT a proof of emptiness; it reports the best residuals reached.
+    This is NOT a proof of emptiness; it reports the best residuals reached
+    and, in ``solver``, how the solve ended (``ConicResult.summary``).
     """
 
-    def __init__(self, message: str, residuals: dict | None = None):
+    def __init__(self, message: str, residuals: dict | None = None,
+                 solver: dict | None = None):
         super().__init__(message)
         self.residuals = residuals or {}
+        self.solver = solver or {}
 
 
 class RoundingFailure(Exception):
@@ -118,17 +121,24 @@ def _gamma_equality_system(h: StepsizePattern) -> tuple[RatMatrix, tuple[Fractio
 class _AffineSpace:
     """Exact solution set {x : E x = rhs} as particular + nullspace basis."""
     particular: list[Fraction]
-    basis: list[list[Fraction]]     # one entry per free column
     pivots: tuple[int, ...]         # original column indices
     free: tuple[int, ...]           # original column indices
     reduced: RatMatrix              # rref of [E | rhs] in permuted column order
-    _order: list[int] = field(default_factory=list)
-    _piv_sorted: tuple[int, ...] = ()
-    _free_sorted: tuple[int, ...] = ()
+    _order: list[int]               # permuted column order used inside ``reduced``
+    _piv_sorted: tuple[int, ...]
+    _free_sorted: tuple[int, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def float_basis(self) -> np.ndarray:
+        """Nullspace basis as floats, one column per free coordinate: 1 at that
+        coordinate, minus the reduced rows' entries at the pivot coordinates."""
+        k, p = len(self.free), len(self.pivots)
+        R = self.reduced
+        basis = np.zeros((k, len(self._order)))
+        basis[range(k), self.free] = 1.0
+        rows = [[float(R.entry(r, f)) for r in range(p)] for f in self._free_sorted]
+        # 0.0 - v keeps an exact zero positive, as float(-Fraction(0)) does
+        basis[:, list(self.pivots)] = 0.0 - np.array(rows).reshape(k, p)
+        return basis.T
 
 
 def _affine_space(E: RatMatrix, rhs: Sequence[Fraction],
@@ -153,18 +163,7 @@ def _affine_space(E: RatMatrix, rhs: Sequence[Fraction],
     particular = [Fraction(0)] * n
     for r, c in enumerate(piv):
         particular[order[c]] = R.entry(r, n)
-    basis = []
-    for f in free_sorted:
-        v = [Fraction(0)] * n
-        v[order[f]] = Fraction(1)
-        for r, c in enumerate(piv):
-            v[order[c]] = -R.entry(r, f)
-        basis.append(v)
-    space = _AffineSpace(particular, basis, piv_orig, free_orig, R)
-    space._order = order  # permuted column order used inside ``reduced``
-    space._piv_sorted = piv
-    space._free_sorted = free_sorted
-    return space
+    return _AffineSpace(particular, piv_orig, free_orig, R, order, piv, free_sorted)
 
 
 def _pair_block_maps(h: StepsizePattern) -> tuple[np.ndarray, np.ndarray]:
@@ -283,6 +282,7 @@ class FloatCertificate:
     gam: np.ndarray
     residuals: dict[str, float] = field(default_factory=dict)
     solver_status: str = ""
+    solver: dict = field(default_factory=dict)     # ConicResult.summary()
     seed: int = 0
 
     def __post_init__(self):
@@ -345,8 +345,8 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
     sp_g = _affine_space(Eg, rg)
     lam0 = np.array([float(v) for v in sp_l.particular])
     gam0 = np.array([float(v) for v in sp_g.particular])
-    Nl = np.array([[float(v) for v in col] for col in sp_l.basis]).T if sp_l.dim else np.zeros((n_pairs, 0))
-    Ng = np.array([[float(v) for v in col] for col in sp_g.basis]).T if sp_g.dim else np.zeros((n_pairs, 0))
+    Nl = sp_l.float_basis()
+    Ng = sp_g.float_basis()
     kl, kg = Nl.shape[1], Ng.shape[1]
     m = kl + kg
 
@@ -410,6 +410,7 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
         lam=_vec_to_pair_matrix(lam_vec, t),
         gam=_vec_to_pair_matrix(gam_vec, t),
         solver_status=res.status,
+        solver=res.summary(),
         seed=opts.seed,
     )
     viol = fc.worst_violation()
@@ -418,8 +419,9 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
         raise NotFound(
             f"no approximate certificate for h=({pattern.as_text()}) at "
             f"Delta={Df:g}: worst violation {viol:.3e} "
-            f"(solver status: {res.status}); this is not a proof of emptiness",
-            residuals=fc.residuals,
+            f"(solver {res.status} after {res.iterations} iterations); "
+            "this is not a proof of emptiness",
+            residuals=fc.residuals, solver=fc.solver,
         )
     return fc
 

@@ -134,6 +134,9 @@ class TestGenerate:
                            "--delta", "0.001")
         assert code == EXIT_FALSE
         assert "best residuals" in err
+        solver = json.loads(err.split("solver: ")[1])
+        assert solver["status"] == "stalled"
+        assert solver["iterations"] > solver["snapshot_iteration"]
 
     def test_bad_pattern_exits_2(self, capsys):
         code, _, err = run(capsys, "generate", "--pattern", "1.5,oops",

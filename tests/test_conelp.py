@@ -1,0 +1,170 @@
+"""The solver's factor-once Newton solves and its stall stop."""
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from lscert import conelp, sdp_search
+from lscert.bundled import bundled_pattern, bundled_pattern_meta
+from lscert.pep_builder import StepsizePattern
+
+
+def chol_solve_per_call(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Reference: the solver's earlier per-call solve, which ran the jitter
+    ladder on H afresh for every right-hand side."""
+    jitter = 0.0
+    base = float(np.mean(np.diag(H))) if H.shape[0] else 1.0
+    for _ in range(6):
+        try:
+            L = np.linalg.cholesky(H + jitter * np.eye(H.shape[0]))
+            z = np.linalg.solve(L, rhs)
+            return np.linalg.solve(L.T, z)
+        except np.linalg.LinAlgError:
+            jitter = max(base * 1e-14, jitter * 100 if jitter else base * 1e-14)
+    return np.linalg.lstsq(H, rhs, rcond=None)[0]
+
+
+def newton_dy(solve, H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # the two solves of one Newton step: a solve and one round of refinement
+    dy = solve(rhs)
+    dy += solve(rhs - H @ dy)
+    return dy
+
+
+def spd(n: int, rng) -> np.ndarray:
+    B = rng.standard_normal((n, n))
+    return B @ B.T + n * np.eye(n)
+
+
+def singular_psd(n: int, rng) -> np.ndarray:
+    # a zero row and column: Cholesky fails at the first rung on any hardware
+    H = np.zeros((n, n))
+    B = rng.standard_normal((n - 1, n - 2))
+    H[1:, 1:] = B @ B.T
+    return H
+
+
+def nearly_psd(n: int, rng) -> np.ndarray:
+    # eigenvalue -3e-13 against a mean diagonal near 2: the first jitter
+    # (2e-14) is too small, the second (2e-12) factors
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = np.linspace(1.0, 3.0, n)
+    eig[0] = -3e-13
+    return (Q * eig) @ Q.T
+
+
+def indefinite(n: int, rng) -> np.ndarray:
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = np.linspace(1.0, 3.0, n)
+    eig[0] = -1.0  # positive mean diagonal, one clearly negative eigenvalue
+    return (Q * eig) @ Q.T
+
+
+@pytest.mark.parametrize("kind,expected", [
+    (spd, {"factorizations": 1, "jitter_retries": 0, "lstsq_fallbacks": 0}),
+    (singular_psd, {"factorizations": 1, "jitter_retries": 1, "lstsq_fallbacks": 0}),
+    (nearly_psd, {"factorizations": 1, "jitter_retries": 2, "lstsq_fallbacks": 0}),
+    (indefinite, {"factorizations": 0, "jitter_retries": 6, "lstsq_fallbacks": 4}),
+])
+def test_factor_once_matches_per_call_solve(kind, expected):
+    rng = np.random.default_rng(11)
+    H = kind(9, rng)
+    events = conelp._Events()
+    chol = conelp._CholSolver(H, events)
+    for _ in range(2):  # predictor and corrector share the factor
+        rhs = rng.standard_normal(9)
+        ref = newton_dy(lambda r: chol_solve_per_call(H, r), H, rhs)
+        dy = newton_dy(chol.solve, H, rhs)
+        assert dy.tobytes() == ref.tobytes()
+    assert vars(events) == expected
+
+
+def test_failed_triangular_solve_moves_to_next_rung(monkeypatch):
+    """A LinAlgError from a solve with the factor moves on to the next rung,
+    as the per-call solve did."""
+    rng = np.random.default_rng(12)
+    H = spd(7, rng)
+    L0 = np.linalg.cholesky(H)
+    solve = np.linalg.solve
+
+    def refuse_first_rung(a, b):
+        if np.array_equal(a, L0) or np.array_equal(a, L0.T):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", refuse_first_rung)
+    events = conelp._Events()
+    chol = conelp._CholSolver(H, events)
+    for _ in range(2):
+        rhs = rng.standard_normal(7)
+        ref = newton_dy(lambda r: chol_solve_per_call(H, r), H, rhs)
+        assert newton_dy(chol.solve, H, rhs).tobytes() == ref.tobytes()
+    assert chol.rung == 1
+    assert vars(events) == {"factorizations": 2, "jitter_retries": 1, "lstsq_fallbacks": 0}
+
+
+def conic_results(monkeypatch) -> list:
+    """Record every ConicResult the search layer receives."""
+    seen = []
+    solve = sdp_search.solve_conic
+
+    def recording(*args, **kwargs):
+        seen.append(solve(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(sdp_search, "solve_conic", recording)
+    return seen
+
+
+def same_point(a, b) -> bool:
+    return all(getattr(a, v).tobytes() == getattr(b, v).tobytes() for v in "yxs")
+
+
+def test_stall_stop_returns_the_best_snapshot(monkeypatch):
+    # at the default window this solve breaks down first (a scaling
+    # Cholesky fails after 28 iterations, past its best point at 16)
+    seen = conic_results(monkeypatch)
+    pattern = StepsizePattern.from_text("2.9,1.5")
+    sdp_search.solve_approx(pattern, 1e-3)
+    monkeypatch.setattr(conelp, "STALL_WINDOW", 10)
+    sdp_search.solve_approx(pattern, 1e-3)
+    full, stopped = seen
+    assert (full.status, full.iterations, full.snapshot_iteration) == ("breakdown", 28, 16)
+    assert stopped.status == "stalled"
+    assert stopped.snapshot_iteration == 16
+    assert stopped.iterations == stopped.snapshot_iteration + 10
+    assert same_point(stopped, full)
+
+
+def test_stall_window_changes_no_result(monkeypatch):
+    seen = conic_results(monkeypatch)
+    pattern = StepsizePattern.from_text("3.9,1.5")  # no member: the solve stalls
+    for window in (conelp.STALL_WINDOW, 10 ** 6):
+        monkeypatch.setattr(conelp, "STALL_WINDOW", window)
+        with pytest.raises(sdp_search.NotFound) as ei:
+            sdp_search.solve_approx(pattern, 1e-3)
+    stopped, unstopped = seen
+    assert stopped.status == "stalled"
+    assert stopped.iterations == stopped.snapshot_iteration + 20
+    assert unstopped.iterations > stopped.iterations
+    assert unstopped.snapshot_iteration == stopped.snapshot_iteration
+    assert same_point(stopped, unstopped)
+    # the failure explains itself
+    assert ei.value.solver == unstopped.summary()
+    assert ei.value.solver["factorizations"] == unstopped.iterations
+
+
+def test_primal_solve_ends_optimal(monkeypatch):
+    seen = conic_results(monkeypatch)
+    pattern = bundled_pattern("t2")
+    pv = sdp_search.evaluate_primal(pattern, float(bundled_pattern_meta("t2")["delta"]) / 2)
+    (res,) = seen
+    assert pv.status == res.status == "optimal"
+    assert res.iterations == res.snapshot_iteration
+    assert res.factorizations == res.iterations
+
+
+def test_float_certificate_carries_the_solver_summary():
+    fc = sdp_search.solve_approx(StepsizePattern((F(1),)), 0.01)
+    assert fc.solver_status == fc.solver["status"] == "optimal"
+    assert fc.solver["iterations"] == fc.solver["snapshot_iteration"] > 0

@@ -317,6 +317,33 @@ class TestRref:
             _, piv = rref(A)
             assert list(piv) == sorted(set(piv))
 
+    @pytest.mark.parametrize("kind", ["full_rank", "rank_deficient", "zero_columns"])
+    def test_against_sympy(self, kind):
+        """rref picks the rounding pivots on the generate path: it must agree
+        with an independent exact rref, matrix and pivot columns."""
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(f"rref-{kind}")
+        for _ in range(12):
+            m, n = rng.randrange(1, 7), rng.randrange(1, 9)
+            rows = [[Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) for _ in range(n)]
+                    for _ in range(m)]
+            if kind == "rank_deficient" and m > 1:
+                # the last row combines two earlier ones
+                a, b = Fraction(rng.randrange(-4, 5), 3), Fraction(rng.randrange(1, 5), 7)
+                rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[(m - 1) // 2])]
+            elif kind == "zero_columns":
+                for c in rng.sample(range(n), max(1, n // 3)):
+                    for r in rows:
+                        r[c] = Fraction(0)
+            R, piv = rref(RatMatrix.from_rows(rows))
+            S, spiv = sympy.Matrix(
+                [[sympy.Rational(v.numerator, v.denominator) for v in r] for r in rows]).rref()
+            assert piv == spiv
+            assert [[Fraction(int(v.p), int(v.q)) for v in S.row(i)] for i in range(m)] \
+                == R.to_rows()
+            if kind == "rank_deficient" and m > 1:
+                assert len(piv) < m
+
 
 def test_fractions_always_reduced():
     # every operation stores reduced fractions with positive denominators

@@ -6,7 +6,12 @@ import pytest
 from lscert.certificate import PreconditionError, check_membership
 from lscert.conelp import ConeDims, solve_conic, svec_pack, svec_unpack
 from lscert.pep_builder import StepsizePattern
+from lscert.bundled import bundled_pattern
+from lscert.pep_builder import index_pairs
 from lscert.sdp_search import (
+    _affine_space,
+    _gamma_equality_system,
+    _lambda_equality_system,
     FloatCertificate,
     NotFound,
     SolveOptions as SearchOptions,
@@ -93,6 +98,30 @@ class TestSolveApprox:
         fc = solve_approx(h, 0.01)
         clone = FloatCertificate(pattern=h, Delta=fc.Delta, lam=fc.lam, gam=fc.gam)
         assert clone.residuals == fc.residuals
+
+
+class TestFloatBasis:
+    @pytest.mark.parametrize("pid", ["const1", "t2", "t7", "t15"])
+    def test_bytes_match_per_entry_conversion(self, pid):
+        """The float nullspace basis equals the exact basis floated entry by
+        entry, bit for bit (no negative zeros), in natural and priority order."""
+        pattern = bundled_pattern(pid)
+        n = len(list(index_pairs(pattern.t)))
+        for E, rhs in (_lambda_equality_system(pattern), _gamma_equality_system(pattern)):
+            for priority in (None, np.arange(n) % 5):
+                sp = _affine_space(E, rhs, priority)
+                R, order = sp.reduced, sp._order
+                exact = []
+                for f in sp._free_sorted:
+                    v = [Fraction(0)] * n
+                    v[order[f]] = Fraction(1)
+                    for r, c in enumerate(sp._piv_sorted):
+                        v[order[c]] = -R.entry(r, f)
+                    exact.append(v)
+                ref = np.array([[float(v) for v in col] for col in exact]).T
+                assert sp.float_basis().tobytes() == ref.tobytes()
+                assert sp.float_basis().shape == (n, len(sp.free))
+                assert not np.signbit(sp.float_basis()[sp.float_basis() == 0]).any()
 
 
 class TestRounding:
