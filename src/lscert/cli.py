@@ -122,6 +122,8 @@ def _verify_one(path: str, recompute_eps: bool, pointwise: int,
 
 def cmd_verify(args) -> CommandOutcome:
     paths = args.certificate
+    if args.pointwise is not None and args.pointwise < 0:
+        raise UsageError(f"--pointwise {args.pointwise}: N must be nonnegative")
     worker_args = [(p, args.recompute_eps, args.pointwise or 0, args.allow_large_delta)
                    for p in paths]
     if args.jobs > 1 and len(paths) > 1:

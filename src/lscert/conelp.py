@@ -215,7 +215,7 @@ class _Scaling:
             parts.append(svec_pack(np.diag(d ** 2)))
         return np.concatenate(parts)
 
-    def step_to_boundary(self, which: str, dbar: np.ndarray) -> float:
+    def step_to_boundary(self, dbar: np.ndarray) -> float:
         """Largest alpha with lam + alpha*dbar staying in the cone (scaled space)."""
         l = self.dims.nonneg
         alpha = np.inf
@@ -238,7 +238,6 @@ class _Scaling:
 class SolverOptions:
     max_iters: int = 100
     tol: float = 1e-9
-    step_frac: float = 0.99
     verbose: bool = False
 
 
@@ -300,6 +299,7 @@ JITTER_RUNGS = 6
 # the solve returns its best snapshot once that many iterations in a row fail
 # to improve it (the widest gap between improvements seen is 7 iterations)
 STALL_WINDOW = 20
+STEP_FRAC = 0.99  # share of the step to the cone boundary that an iteration takes
 
 
 @dataclass
@@ -448,8 +448,8 @@ def solve_conic(
             dx_a, dy_a, ds_a = newton(d_aff)
             dxb_a = sc.scale_x(dx_a)
             dsb_a = sc.scale_s(ds_a)
-            ap = sc.step_to_boundary("x", dxb_a)
-            ad = sc.step_to_boundary("s", dsb_a)
+            ap = sc.step_to_boundary(dxb_a)
+            ad = sc.step_to_boundary(dsb_a)
             a_aff = min(1.0, ap, ad)
             mu_aff = float(np.dot(x + a_aff * dx_a, s + a_aff * ds_a)) / max(dims.order, 1)
             sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
@@ -461,12 +461,12 @@ def solve_conic(
             dx, dy, ds = newton(d_comb)
             dxb = sc.scale_x(dx)
             dsb = sc.scale_s(ds)
-            ap = sc.step_to_boundary("x", dxb)
-            ad = sc.step_to_boundary("s", dsb)
+            ap = sc.step_to_boundary(dxb)
+            ad = sc.step_to_boundary(dsb)
         except (np.linalg.LinAlgError, FloatingPointError):
             return finish(best, "breakdown", it)
-        alpha_p = min(1.0, opts.step_frac * ap)
-        alpha_d = min(1.0, opts.step_frac * ad)
+        alpha_p = min(1.0, STEP_FRAC * ap)
+        alpha_d = min(1.0, STEP_FRAC * ad)
         if min(alpha_p, alpha_d) <= 1e-14:
             return finish(best, "stalled", it)
         x = x + alpha_p * dx

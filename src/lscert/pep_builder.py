@@ -170,6 +170,57 @@ def build_pep_data(h: StepsizePattern) -> PepData:
     return PepData(h, basis, {(i, j): pair_data(basis, i, j) for i, j in index_pairs(h.t)})
 
 
+@dataclass(frozen=True)
+class PairTerms:
+    """One pair's interpolation inequality as sparse exact terms (indices count
+    0..t); summed, they give a_{i,j} and A_{i,j} + C_{i,j}/2, whose corner is 0."""
+    pos: tuple[int, int]                          # matrix position of the multiplier
+    balance: tuple[tuple[int, int], ...]          # a_{i,j}: (k, +1 or -1)
+    border: tuple[tuple[int, Fraction], ...]      # first column below the corner: (k, v)
+    trail: tuple[tuple[int, int, Fraction], ...]  # trailing block: (r, c, v), summed in order
+
+    def entries(self) -> dict[tuple[int, int], Fraction]:
+        """A + C/2 as exact sums keyed by (*, 0..t) position; absent entries are zero."""
+        out = {}
+        for k, v in self.border:
+            out[0, k + 1] = out[k + 1, 0] = v
+        for r, c, v in self.trail:
+            out[r + 1, c + 1] = out.get((r + 1, c + 1), 0) + v
+        return out
+
+
+@dataclass(frozen=True)
+class PairTable:
+    pattern: StepsizePattern
+    pairs: tuple[PairTerms, ...]   # in index_pairs order
+
+
+def pair_table(h: StepsizePattern) -> PairTable:
+    """The terms of every pair. Coordinate k of x_i - x_j is w = h_k for
+    i <= k < j (any k < j when i = *), -h_k for j <= k < i, else 0, so
+    g_j (.) (x_i - x_j) puts w/2 at (j, k) and at (k, j), and -1/2 in the first
+    column at j when i = *. Trailing terms come in a fixed order (the A part
+    for k ascending, then C/2), so float sums taken term by term repeat."""
+    t = h.t
+    half = Fraction(1, 2)
+    w_half = [(v / 2, -v / 2) for v in h.h]  # no iterate has a g_t coordinate
+    pairs = []
+    for i, j in index_pairs(t):
+        trail = []
+        if j != STAR:
+            for k in range(t):
+                s = (k < j) - (i != STAR and k < i)
+                if s:
+                    w = w_half[k][s < 0]
+                    trail += [(j, k, w), (k, j, w)]
+        # a = f_j - f_i, and C = dg dg' with dg = g_j - g_i (up to sign)
+        signs = tuple((k, s) for k, s in ((j, 1), (i, -1)) if k != STAR)
+        trail += [(r, c, half * sr * sc) for r, sr in signs for c, sc in signs]
+        pairs.append(PairTerms((mat_pos(i, t), mat_pos(j, t)), signs,
+                               ((j, -half),) if i == STAR else (), tuple(trail)))
+    return PairTable(h, tuple(pairs))
+
+
 def _check_multiplier_shape(h: StepsizePattern, arg: RatMatrix, name: str) -> None:
     dim = h.t + 2
     if arg.rows != dim or arg.cols != dim:

@@ -19,7 +19,10 @@ from .certificate import (
     Infeasible,
     MembershipReport,
     PreconditionError,
+    _rhs_gamma,
+    _rhs_lambda,
     check_membership,
+    delta_cap,
     minimal_epsilon,
 )
 from .conelp import (
@@ -29,14 +32,8 @@ from .conelp import (
     svec_pack,
     svec_unpack,
 )
-from .exact_linalg import RatMatrix, rref
-from .pep_builder import (
-    STAR,
-    StepsizePattern,
-    build_pep_data,
-    index_pairs,
-    mat_pos,
-)
+from .exact_linalg import RatMatrix, rat_to_str, rref
+from .pep_builder import PairTable, StepsizePattern, pair_table
 
 DESK_SCALE_MAX_T = 127          # verification-side cap: t + 2 <= 129
 DEFAULT_GENERATION_MAX_T = 31   # numerical generation supported by default
@@ -65,56 +62,24 @@ class SolveOptions:
     max_iters: int = 200
     tol: float = 1e-8
     seed: int = 0               # recorded for provenance; the solve itself is deterministic
-    psd_margin_target: float = 0.0  # boundary solutions are expected at 0
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
 
 
-def _pairs(t: int) -> list[tuple]:
-    return list(index_pairs(t))
-
-
-def _x_trail_entry(h: StepsizePattern, i, k: int) -> Fraction:
-    if i == STAR or k >= i:
-        return Fraction(0)
-    return -h.h[k]
-
-
-def _lambda_equality_system(h: StepsizePattern) -> tuple[RatMatrix, tuple[Fraction, ...]]:
-    """Stacked equalities on lambda: multiplier balance rows, then first-column rows."""
-    t = h.t
-    pairs = _pairs(t)
-    rows = 2 * (t + 1)
-    cols = len(pairs)
-    E = [[Fraction(0)] * cols for _ in range(rows)]
-    for col, (i, j) in enumerate(pairs):
-        if j != STAR:
-            E[j][col] += 1
-        if i != STAR:
-            E[i][col] -= 1
-        if i == STAR:  # first-column contribution: m[j] = -lambda_{*,j}/2
-            E[t + 1 + j][col] = Fraction(-1, 2)
-    rhs = [Fraction(0)] * rows
-    rhs[t] += 1
-    rhs[0] -= 1
-    return RatMatrix.from_rows(E), tuple(rhs)
-
-
-def _gamma_equality_system(h: StepsizePattern) -> tuple[RatMatrix, tuple[Fraction, ...]]:
-    t = h.t
-    pairs = _pairs(t)
-    cols = len(pairs)
-    E = [[Fraction(0)] * cols for _ in range(t + 1)]
-    for col, (i, j) in enumerate(pairs):
-        if j != STAR:
-            E[j][col] += 1
-        if i != STAR:
-            E[i][col] -= 1
-    rhs = [Fraction(0)] * (t + 1)
-    rhs[0] = 2 * h.sum_h
-    return RatMatrix.from_rows(E), tuple(rhs)
+def _equality_systems(table: PairTable) -> tuple[tuple[RatMatrix, tuple[Fraction, ...]], ...]:
+    """Exact equalities (E, rhs) on lambda, then on gamma: the multiplier
+    balance rows (sum_a), and for lambda also the first-column rows (m = 0)."""
+    t = table.pattern.t
+    E = [[Fraction(0)] * len(table.pairs) for _ in range(2 * (t + 1))]
+    for col, p in enumerate(table.pairs):
+        for k, s in p.balance:
+            E[k][col] += s
+        for k, v in p.border:
+            E[t + 1 + k][col] += v
+    return ((RatMatrix.from_rows(E), _rhs_lambda(t) + (Fraction(0),) * (t + 1)),
+            (RatMatrix.from_rows(E[:t + 1]), _rhs_gamma(table.pattern)))
 
 
 @dataclass
@@ -166,83 +131,63 @@ def _affine_space(E: RatMatrix, rhs: Sequence[Fraction],
     return _AffineSpace(particular, piv_orig, free_orig, R, order, piv, free_sorted)
 
 
-def _pair_block_maps(h: StepsizePattern) -> tuple[np.ndarray, np.ndarray]:
+def _pair_block_maps(table: PairTable) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair svec rows of the bordered PSD blocks.
 
     Returns (BM, Bm), each (n_pairs, svec_dim) for blocks of size t+2:
     BM[e] is the trailing-block contribution of a unit multiplier on pair e,
-    Bm[e] the border (first column) contribution.
+    Bm[e] the border (first column) contribution. Each entry adds the
+    table's terms one float at a time, in the table's order.
     """
-    t = h.t
-    pairs = _pairs(t)
-    dim = t + 2
-    sd = dim * (dim + 1) // 2
-    BM = np.zeros((len(pairs), sd))
-    Bm = np.zeros((len(pairs), sd))
-    for e, (i, j) in enumerate(pairs):
-        blk = np.zeros((dim, dim))
-        if j != STAR:
-            for k in range(t + 1):
-                w = float(_x_trail_entry(h, i, k) - _x_trail_entry(h, j, k))
-                if w:
-                    blk[1 + j, 1 + k] += 0.5 * w
-                    blk[1 + k, 1 + j] += 0.5 * w
-        if i == STAR:
-            blk[1 + j, 1 + j] += 0.5
-        elif j == STAR:
-            blk[1 + i, 1 + i] += 0.5
-        else:
-            blk[1 + i, 1 + i] += 0.5
-            blk[1 + j, 1 + j] += 0.5
-            blk[1 + i, 1 + j] -= 0.5
-            blk[1 + j, 1 + i] -= 0.5
-        BM[e] = svec_pack(blk)
-        if i == STAR:
-            border = np.zeros((dim, dim))
-            border[0, 1 + j] = border[1 + j, 0] = -0.5
-            Bm[e] = svec_pack(border)
-    return BM, Bm
+    dim = table.pattern.t + 2
+    at = {rc: n for n, rc in enumerate((r, c) for r in range(dim) for c in range(r, dim))}
+    BM = np.zeros((len(table.pairs), len(at)))
+    Bm = np.zeros_like(BM)
+    for e, p in enumerate(table.pairs):
+        for r, c, v in p.trail:
+            if r <= c:  # svec reads the upper triangle
+                BM[e, at[r + 1, c + 1]] += float(v)
+        for k, v in p.border:
+            Bm[e, at[0, k + 1]] += float(v)
+    w = svec_pack(np.ones((dim, dim)))
+    return BM * w, Bm * w
 
 
-def _pair_matrix_to_vec(mat: np.ndarray, t: int) -> np.ndarray:
-    pairs = _pairs(t)
-    return np.array([mat[mat_pos(i, t), mat_pos(j, t)] for i, j in pairs])
+def _pair_matrix_to_vec(mat: np.ndarray, table: PairTable) -> np.ndarray:
+    return np.array([mat[p.pos] for p in table.pairs])
 
 
-def _vec_to_pair_matrix(vec: Sequence, t: int) -> np.ndarray:
-    out = np.zeros((t + 2, t + 2))
-    for v, (i, j) in zip(vec, _pairs(t)):
-        out[mat_pos(i, t), mat_pos(j, t)] = float(v)
-    return out
+def _pair_rows(table: PairTable, vec: Sequence, zero) -> list[list]:
+    """The multiplier matrix, as rows, with vec[e] at pair e's position."""
+    dim = table.pattern.t + 2
+    rows = [[zero] * dim for _ in range(dim)]
+    for v, p in zip(vec, table.pairs):
+        rows[p.pos[0]][p.pos[1]] = v
+    return rows
+
+
+def _balance_residual(table: PairTable, vec: np.ndarray, rhs: np.ndarray) -> float:
+    """Largest violation of the balance rows, summed pair by pair."""
+    acc = np.zeros(table.pattern.t + 1)
+    for p, v in zip(table.pairs, vec):
+        for k, s in p.balance:
+            acc[k] += s * v
+    return float(np.max(np.abs(acc - rhs)))
 
 
 def recompute_residuals(pattern: StepsizePattern, Delta: float,
                         lam: np.ndarray, gam: np.ndarray) -> dict[str, float]:
     """Float feasibility diagnostics for an approximate multiplier pair."""
     t = pattern.t
-    pairs = _pairs(t)
-    hf = [float(v) for v in pattern.h]
-    sum_h = sum(hf)
-
-    def eq_residual(mat: np.ndarray, rhs: np.ndarray) -> float:
-        acc = np.zeros(t + 1)
-        for i, j in pairs:
-            v = mat[mat_pos(i, t), mat_pos(j, t)]
-            if j != STAR:
-                acc[j] += v
-            if i != STAR:
-                acc[i] -= v
-        return float(np.max(np.abs(acc - rhs)))
-
-    rhs_l = np.zeros(t + 1)
-    rhs_l[t] += 1.0
-    rhs_l[0] -= 1.0
+    table = pair_table(pattern)
+    sum_h = sum(float(v) for v in pattern.h)
+    rhs_l = np.array([float(v) for v in _rhs_lambda(t)])
     rhs_g = np.zeros(t + 1)
-    rhs_g[0] = 2.0 * sum_h
+    rhs_g[0] = 2.0 * sum_h  # the float sum of h, as in the PSD corner below
 
-    BM, Bm = _pair_block_maps(pattern)
-    lam_vec = _pair_matrix_to_vec(lam, t)
-    gam_vec = _pair_matrix_to_vec(gam, t)
+    BM, Bm = _pair_block_maps(table)
+    lam_vec = _pair_matrix_to_vec(lam, table)
+    gam_vec = _pair_matrix_to_vec(gam, table)
     corner = np.zeros((t + 2, t + 2))
     corner[0, 0] = sum_h
     base = svec_pack(corner) + BM.T @ lam_vec + Bm.T @ gam_vec
@@ -259,8 +204,8 @@ def recompute_residuals(pattern: StepsizePattern, Delta: float,
             return float("-inf")
 
     return {
-        "eq_lambda_inf": eq_residual(lam, rhs_l),
-        "eq_gamma_inf": eq_residual(gam, rhs_g),
+        "eq_lambda_inf": _balance_residual(table, lam_vec, rhs_l),
+        "eq_gamma_inf": _balance_residual(table, gam_vec, rhs_g),
         "m_lambda_inf": float(np.max(np.abs(lam[0, 1:]))) / 2.0,
         "min_lambda": float(lam_vec.min()),
         "min_lambda_plus_delta_gamma": float(lam_plus.min()),
@@ -335,12 +280,11 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
     opts = opts or SolveOptions()
     _validate_search_inputs(pattern, Delta, max_t)
     t = pattern.t
-    pairs = _pairs(t)
-    n_pairs = len(pairs)
+    table = pair_table(pattern)
+    n_pairs = len(table.pairs)
     Df = float(Delta)
 
-    El, rl = _lambda_equality_system(pattern)
-    Eg, rg = _gamma_equality_system(pattern)
+    (El, rl), (Eg, rg) = _equality_systems(table)
     sp_l = _affine_space(El, rl)
     sp_g = _affine_space(Eg, rg)
     lam0 = np.array([float(v) for v in sp_l.particular])
@@ -350,14 +294,14 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
     kl, kg = Nl.shape[1], Ng.shape[1]
     m = kl + kg
 
-    BM, Bm = _pair_block_maps(pattern)
+    BM, Bm = _pair_block_maps(table)
     dim = t + 2
     sd = dim * (dim + 1) // 2
     sum_h = float(pattern.sum_h)
     box = 1e4 * (1.0 + sum_h)
 
-    star_rows = [e for e, (i, _) in enumerate(pairs) if i == STAR]
-    rest = [e for e, (i, _) in enumerate(pairs) if i != STAR]
+    star_rows = [e for e, p in enumerate(table.pairs) if p.pos[0] == 0]
+    rest = [e for e, p in enumerate(table.pairs) if p.pos[0] != 0]
     n_rest = len(rest)
 
     rows_c: list[np.ndarray] = []
@@ -407,15 +351,15 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
     fc = FloatCertificate(
         pattern=pattern,
         Delta=Df,
-        lam=_vec_to_pair_matrix(lam_vec, t),
-        gam=_vec_to_pair_matrix(gam_vec, t),
+        lam=np.array(_pair_rows(table, lam_vec, 0.0)),
+        gam=np.array(_pair_rows(table, gam_vec, 0.0)),
         solver_status=res.status,
         solver=res.summary(),
         seed=opts.seed,
     )
     viol = fc.worst_violation()
     min_eig = min(fc.residuals["min_eig_psd_at_zero"], fc.residuals["min_eig_psd_at_delta"])
-    if viol > opts.tol or min_eig < opts.psd_margin_target - opts.tol:
+    if viol > opts.tol or min_eig < -opts.tol:
         raise NotFound(
             f"no approximate certificate for h=({pattern.as_text()}) at "
             f"Delta={Df:g}: worst violation {viol:.3e} "
@@ -460,15 +404,14 @@ def round_to_exact(approx: FloatCertificate, denom_bits: int = 53,
     if not all(np.isfinite(v) for v in approx.residuals.values()):
         raise PreconditionError("approximate certificate has non-finite residuals")
     pattern = approx.pattern
-    t = pattern.t
-    n = len(_pairs(t))
+    table = pair_table(pattern)
+    n = len(table.pairs)
     # a float gap cap is a dyadic rational, so it carries over exactly
     Delta = exact_delta if exact_delta is not None else Fraction(approx.Delta)
 
-    lam_f = _pair_matrix_to_vec(approx.lam, t)
-    gam_f = _pair_matrix_to_vec(approx.gam, t)
-    El, rl = _lambda_equality_system(pattern)
-    Eg, rg = _gamma_equality_system(pattern)
+    lam_f = _pair_matrix_to_vec(approx.lam, table)
+    gam_f = _pair_matrix_to_vec(approx.gam, table)
+    (El, rl), (Eg, rg) = _equality_systems(table)
 
     # entries below solver noise are meant to sit on the boundary: snap them
     # to exact zero so pivot entries tied to them by the equalities follow
@@ -522,13 +465,9 @@ def round_to_exact(approx: FloatCertificate, denom_bits: int = 53,
             f"{len(bad)} entries (worst {float(worst):.3e}); retry with larger "
             "denom_bits")
 
-    def to_matrix(vec: list[Fraction]) -> RatMatrix:
-        rows = [[Fraction(0)] * (t + 2) for _ in range(t + 2)]
-        for v, (i, j) in zip(vec, _pairs(t)):
-            rows[mat_pos(i, t)][mat_pos(j, t)] = v
-        return RatMatrix.from_rows(rows)
-
-    return Certificate(pattern, Delta, Fraction(0), to_matrix(lam_vec), to_matrix(gam_vec))
+    return Certificate(pattern, Delta, Fraction(0),
+                       RatMatrix.from_rows(_pair_rows(table, lam_vec, Fraction(0))),
+                       RatMatrix.from_rows(_pair_rows(table, gam_vec, Fraction(0))))
 
 
 DENOM_BITS_LADDER = (53, 80, 128)
@@ -566,6 +505,10 @@ def generate(pattern: StepsizePattern, Delta: Fraction | float,
     opts = opts or SolveOptions()
     _validate_search_inputs(pattern, Delta, max_t)
     Delta_exact = Delta if isinstance(Delta, Fraction) else Fraction(Delta)
+    cap = delta_cap(pattern)
+    if Delta_exact > cap:
+        raise PreconditionError(
+            f"Delta={rat_to_str(Delta_exact)} exceeds min(1/2, 1/(2 sum h))={rat_to_str(cap)}")
     approx = solve_approx(pattern, float(Delta_exact), opts, max_t=max_t, verbose=verbose)
     ladder = (denom_bits,) if denom_bits else DENOM_BITS_LADDER
     last_error: Exception | None = None
@@ -622,25 +565,26 @@ def evaluate_primal(pattern: StepsizePattern, delta: float,
         raise PreconditionError(
             f"primal evaluation is desk scale (t <= {DEFAULT_GENERATION_MAX_T})")
     t = pattern.t
-    data = build_pep_data(pattern)
-    pairs = _pairs(t)
+    table = pair_table(pattern)
+    n_pairs = len(table.pairs)
     dim = t + 2
     sd = dim * (dim + 1) // 2
     nf = t + 1
     m = nf + sd  # variables: objective values F, then svec of the Gram matrix
 
     big = 100.0 * (1.0 + float(pattern.sum_h)) ** 2
-    l_rows = len(pairs) + 2 + 2 * nf + dim
+    l_rows = n_pairs + 2 + 2 * nf + dim
     A = np.zeros((l_rows + sd, m))
     c = np.zeros(l_rows + sd)
-    row = 0
-    for (i, j) in pairs:
-        pd = data.pair(i, j)
-        A[row, :nf] = [float(v) for v in pd.a]
-        K = pd.A + pd.C.scale(Fraction(1, 2))
-        A[row, nf:] = svec_pack(np.array([[float(K.entry(r, cc)) for cc in range(dim)]
-                                          for r in range(dim)]))
-        row += 1
+    # one row per pair: a, then A + C/2 summed exactly and floated
+    K = np.zeros((n_pairs, dim, dim))
+    for e, p in enumerate(table.pairs):
+        for k, s in p.balance:
+            A[e, k] = s
+        for rc, v in p.entries().items():
+            K[(e, *rc)] = float(v)
+    A[:n_pairs, nf:] = svec_pack(K)
+    row = n_pairs
     # Tr(G B_{0,*}) <= 1: the initial-distance constraint
     B0 = np.zeros((dim, dim))
     B0[0, 0] = 1.0

@@ -40,6 +40,12 @@ class TestVerify:
         assert obj["certificates"][0]["pointwise_checks"] == 9
         assert obj["certificates"][0]["pointwise_ok"]
 
+    def test_negative_pointwise_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", str(certificate_path("t3")),
+                             "--pointwise", "-3", "--json")
+        assert code == EXIT_USAGE
+        assert "--pointwise -3" in err and not out
+
     def test_malformed_file_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "junk.json"
         bad.write_text("{weird")
@@ -137,6 +143,14 @@ class TestGenerate:
         solver = json.loads(err.split("solver: ")[1])
         assert solver["status"] == "stalled"
         assert solver["iterations"] > solver["snapshot_iteration"]
+
+    def test_delta_past_cap_exits_2(self, capsys):
+        # 1/(2 sum h) = 5/44 for h = (2.9, 1.5); 10^-18 past it is refused
+        # exactly, before any search (its float passes the float check)
+        delta = f"{5 * 10 ** 18 + 44}/{44 * 10 ** 18}"
+        code, _, err = run(capsys, "generate", "--pattern", "2.9,1.5", "--delta", delta)
+        assert code == EXIT_USAGE
+        assert "exceeds" in err and "not found" not in err
 
     def test_bad_pattern_exits_2(self, capsys):
         code, _, err = run(capsys, "generate", "--pattern", "1.5,oops",

@@ -16,6 +16,7 @@ from lscert.pep_builder import (
     M_mat,
     mat_pos,
     pair_data,
+    pair_table,
     sum_a,
 )
 
@@ -188,6 +189,54 @@ class TestZAssembly:
                 dense_Z = dense_Z + (pd.A + pd.C.scale(F(1, 2))).scale(c)
             assert sum_a(h, arg) == tuple(dense_sum)
             assert assemble_Z(h, F(0), arg, F(0)) == dense_Z
+
+    def test_pair_table_sums_match_dense_pair_data(self, h29_15):
+        # every pair's sparse terms add up to its dense a and A + C/2, up to t = 7
+        rng = random.Random(21)
+        patterns = [h29_15] + [
+            StepsizePattern(tuple(F(rng.randrange(1, 60), rng.randrange(1, 9)) for _ in range(t)))
+            for t in (1, 2, 3, 7)]
+        for h in patterns:
+            t = h.t
+            basis = build_basis(h)
+            table = pair_table(h)
+            assert len(table.pairs) == (t + 2) * (t + 1)
+            for (i, j), p in zip(index_pairs(t), table.pairs):
+                pd = pair_data(basis, i, j)
+                assert p.pos == (mat_pos(i, t), mat_pos(j, t))
+                a = [F(0)] * (t + 1)
+                for k, s in p.balance:
+                    a[k] += s
+                assert tuple(a) == pd.a
+                K = [[F(0)] * (t + 2) for _ in range(t + 2)]
+                for (r, c), v in p.entries().items():
+                    K[r][c] = v
+                assert RatMatrix.from_rows(K) == pd.A + pd.C.scale(F(1, 2))
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 7, 15, 31])
+    def test_closed_forms_match_pair_table_on_every_pair(self, t):
+        # M_mat, m_vec and sum_a against the table applied to seeded random
+        # multipliers on every pair (the dense reference above stops at t = 7)
+        rng = random.Random(100 + t)
+        h = StepsizePattern(tuple(F(rng.randrange(1, 60), rng.randrange(1, 9)) for _ in range(t)))
+        table = pair_table(h)
+        arg_rows = [[F(0)] * (t + 2) for _ in range(t + 2)]
+        M = [[F(0)] * (t + 1) for _ in range(t + 1)]
+        m = [F(0)] * (t + 1)
+        a = [F(0)] * (t + 1)
+        for p in table.pairs:
+            c = F(rng.randrange(-5, 6), rng.randrange(1, 4))
+            arg_rows[p.pos[0]][p.pos[1]] = c
+            for k, s in p.balance:
+                a[k] += c * s
+            for k, v in p.border:
+                m[k] += c * v
+            for r, cc, v in p.trail:
+                M[r][cc] += c * v
+        arg = RatMatrix.from_rows(arg_rows)
+        assert M_mat(h, arg) == RatMatrix.from_rows(M)
+        assert m_vec(h, arg) == tuple(m)
+        assert sum_a(h, arg) == tuple(a)
 
     def test_linearity_of_m_and_M(self, h29_15):
         rng = random.Random(13)

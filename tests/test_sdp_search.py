@@ -1,17 +1,21 @@
 from fractions import Fraction
 
+import random
+
 import numpy as np
 import pytest
 
+from lscert import sdp_search
 from lscert.certificate import PreconditionError, check_membership
 from lscert.conelp import ConeDims, solve_conic, svec_pack, svec_unpack
-from lscert.pep_builder import StepsizePattern
+from lscert.exact_linalg import RatMatrix
+from lscert.pep_builder import STAR, StepsizePattern, pair_table
 from lscert.bundled import bundled_pattern
 from lscert.pep_builder import index_pairs
 from lscert.sdp_search import (
     _affine_space,
-    _gamma_equality_system,
-    _lambda_equality_system,
+    _equality_systems,
+    _pair_block_maps,
     FloatCertificate,
     NotFound,
     SolveOptions as SearchOptions,
@@ -107,7 +111,7 @@ class TestFloatBasis:
         entry, bit for bit (no negative zeros), in natural and priority order."""
         pattern = bundled_pattern(pid)
         n = len(list(index_pairs(pattern.t)))
-        for E, rhs in (_lambda_equality_system(pattern), _gamma_equality_system(pattern)):
+        for E, rhs in _equality_systems(pair_table(pattern)):
             for priority in (None, np.arange(n) % 5):
                 sp = _affine_space(E, rhs, priority)
                 R, order = sp.reduced, sp._order
@@ -122,6 +126,100 @@ class TestFloatBasis:
                 assert sp.float_basis().tobytes() == ref.tobytes()
                 assert sp.float_basis().shape == (n, len(sp.free))
                 assert not np.signbit(sp.float_basis()[sp.float_basis() == 0]).any()
+
+
+# The search side's hand-written copies of the pair structure, as they were
+# before the pair table replaced them: the references for the table's views.
+def _x_trail_entry(h, i, k):
+    if i == STAR or k >= i:
+        return F(0)
+    return -h.h[k]
+
+
+def _ref_lambda_equality_system(h):
+    t = h.t
+    pairs = list(index_pairs(t))
+    E = [[F(0)] * len(pairs) for _ in range(2 * (t + 1))]
+    for col, (i, j) in enumerate(pairs):
+        if j != STAR:
+            E[j][col] += 1
+        if i != STAR:
+            E[i][col] -= 1
+        if i == STAR:
+            E[t + 1 + j][col] = F(-1, 2)
+    rhs = [F(0)] * (2 * (t + 1))
+    rhs[t] += 1
+    rhs[0] -= 1
+    return RatMatrix.from_rows(E), tuple(rhs)
+
+
+def _ref_gamma_equality_system(h):
+    t = h.t
+    pairs = list(index_pairs(t))
+    E = [[F(0)] * len(pairs) for _ in range(t + 1)]
+    for col, (i, j) in enumerate(pairs):
+        if j != STAR:
+            E[j][col] += 1
+        if i != STAR:
+            E[i][col] -= 1
+    rhs = [F(0)] * (t + 1)
+    rhs[0] = 2 * h.sum_h
+    return RatMatrix.from_rows(E), tuple(rhs)
+
+
+def _ref_pair_block_maps(h):
+    t = h.t
+    pairs = list(index_pairs(t))
+    dim = t + 2
+    sd = dim * (dim + 1) // 2
+    BM = np.zeros((len(pairs), sd))
+    Bm = np.zeros((len(pairs), sd))
+    for e, (i, j) in enumerate(pairs):
+        blk = np.zeros((dim, dim))
+        if j != STAR:
+            for k in range(t + 1):
+                w = float(_x_trail_entry(h, i, k) - _x_trail_entry(h, j, k))
+                if w:
+                    blk[1 + j, 1 + k] += 0.5 * w
+                    blk[1 + k, 1 + j] += 0.5 * w
+        if i == STAR:
+            blk[1 + j, 1 + j] += 0.5
+        elif j == STAR:
+            blk[1 + i, 1 + i] += 0.5
+        else:
+            blk[1 + i, 1 + i] += 0.5
+            blk[1 + j, 1 + j] += 0.5
+            blk[1 + i, 1 + j] -= 0.5
+            blk[1 + j, 1 + i] -= 0.5
+        BM[e] = svec_pack(blk)
+        if i == STAR:
+            border = np.zeros((dim, dim))
+            border[0, 1 + j] = border[1 + j, 0] = -0.5
+            Bm[e] = svec_pack(border)
+    return BM, Bm
+
+
+def _table_patterns():
+    rng = random.Random(5)
+    return [bundled_pattern(pid) for pid in ("const1", "t2", "t3", "t7", "t15", "t31")] + [
+        StepsizePattern(tuple(F(rng.randrange(1, 60), rng.randrange(1, 20))
+                              for _ in range(rng.randrange(1, 10))))
+        for _ in range(7)]
+
+
+class TestPairTableViews:
+    @pytest.mark.parametrize("pattern", _table_patterns(), ids=lambda h: f"t{h.t}")
+    def test_block_maps_match_reference_bytes(self, pattern):
+        BM, Bm = _pair_block_maps(pair_table(pattern))
+        ref_BM, ref_Bm = _ref_pair_block_maps(pattern)
+        assert BM.tobytes() == ref_BM.tobytes()
+        assert Bm.tobytes() == ref_Bm.tobytes()
+
+    @pytest.mark.parametrize("pattern", _table_patterns(), ids=lambda h: f"t{h.t}")
+    def test_equality_systems_match_reference(self, pattern):
+        lam_sys, gam_sys = _equality_systems(pair_table(pattern))
+        assert lam_sys == _ref_lambda_equality_system(pattern)
+        assert gam_sys == _ref_gamma_equality_system(pattern)
 
 
 class TestRounding:
@@ -164,6 +262,19 @@ class TestGenerate:
         assert cert.pattern.avg_h - cert.epsilon >= floor - F(1, 10 ** 6)
         # soundness gate: the returned report is the exact verifier's
         assert check_membership(cert).overall
+
+    def test_delta_cap_decided_exactly(self, monkeypatch):
+        # 5/44 = 1/(2 sum h) for h = (2.9, 1.5); a Delta just past it is
+        # refused before any solve, although its float passes the float check
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver called on a refused input")
+
+        monkeypatch.setattr(sdp_search, "solve_conic", no_solve)
+        h = StepsizePattern.from_text("2.9,1.5")
+        delta = F(5, 44) + F(1, 10 ** 18)
+        assert float(delta) <= 1.0 / (2.0 * float(h.sum_h)) + 1e-15
+        with pytest.raises(PreconditionError, match="exceeds"):
+            generate(h, delta)
 
     def test_generation_scale_cap(self):
         big = StepsizePattern((F(1),) * 40)
