@@ -7,7 +7,7 @@ with Fractions only, so a PASS here is a machine-checked proof that the
 pattern contracts the objective gap once per cycle.
 """
 from lscert.bundled import bundled_certificate, certificate_ids
-from lscert.certificate import check_membership, guarantee_of, minimal_epsilon
+from lscert.certificate import check_membership, guarantee_of
 
 for pid in certificate_ids():
     cert = bundled_certificate(pid)
@@ -17,8 +17,7 @@ for pid in certificate_ids():
         print(f"    {name:32s} {'ok' if flag else 'FAILED'}")
     assert report.overall
     g = guarantee_of(cert, report)
-    eps_min = minimal_epsilon(cert.pattern, cert.Delta, cert.lam, cert.gam)
     print(f"    => gap bound L*D^2 / ({float(g.avg_minus_eps):.9f} * T) + O(1/T^2)")
-    print(f"    => smallest certifiable eps for this pair: {float(eps_min):.3e} "
+    print(f"    => smallest certifiable eps for this pair: {float(report.eps_min):.3e} "
           f"(stored: {float(cert.epsilon):.3e})")
     print()

@@ -15,7 +15,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
-from .exact_linalg import PsdVerdict, RatMatrix, RationalParseError, rat_from_decimal, rat_to_str
+from .exact_linalg import (PsdVerdict, RatMatrix, RationalParseError, SchurElimination,
+                           rat_from_decimal, rat_to_str)
 from .pep_builder import (
     STAR,
     PepOperator,
@@ -90,7 +91,18 @@ class Certificate:
 
     @cached_property
     def operator(self) -> PepOperator:
-        return pep_operator(self.pattern, self.lam, self.gam)
+        """The operator of the multiplier pair: two calls of M_mat, one per multiplier."""
+        h, lam, gam = self.pattern, self.lam, self.gam
+        return PepOperator(M_mat(h, lam), M_mat(h, gam), m_vec(h, lam), m_vec(h, gam),
+                           sum_a(h, lam), sum_a(h, gam))
+
+    @cached_property
+    def eliminations(self) -> tuple[SchurElimination, SchurElimination]:
+        """The trailing blocks of the two membership blocks, at gap 0 and at
+        Delta, each eliminated once with the border m(gamma). eps enters only
+        the corner, so membership at any eps and eps_min both read these."""
+        op = self.operator
+        return op.eliminate(Fraction(0), rescaled=True), op.eliminate(self.Delta, rescaled=True)
 
     @cached_property
     def nonneg_levels(self) -> tuple[Fraction, Fraction]:
@@ -110,12 +122,6 @@ class Certificate:
         return lo, hi
 
 
-def pep_operator(pattern: StepsizePattern, lam: RatMatrix, gam: RatMatrix) -> PepOperator:
-    """The operator of one multiplier pair: two calls of M_mat, one per multiplier."""
-    return PepOperator(M_mat(pattern, lam), M_mat(pattern, gam), m_vec(pattern, lam),
-                       m_vec(pattern, gam), sum_a(pattern, lam), sum_a(pattern, gam))
-
-
 @dataclass(frozen=True)
 class EqualityVerdict:
     ok: bool
@@ -129,12 +135,6 @@ class NonnegVerdict:
 
 
 @dataclass(frozen=True)
-class PsdConditionVerdict:
-    ok: bool
-    verdict: PsdVerdict
-
-
-@dataclass(frozen=True)
 class MembershipReport:
     """Exact verdicts for every condition defining the certificate set."""
     eq_lambda: EqualityVerdict
@@ -142,14 +142,13 @@ class MembershipReport:
     m_lambda_zero: EqualityVerdict
     lambda_nonneg: NonnegVerdict
     lambda_plus_delta_gamma_nonneg: NonnegVerdict
-    psd_at_zero: PsdConditionVerdict
-    psd_at_delta: PsdConditionVerdict
+    psd_at_zero: PsdVerdict
+    psd_at_delta: PsdVerdict
+    eps_min: Fraction | Infeasible  # smallest eps at which both PSD blocks hold
 
     @property
     def overall(self) -> bool:
-        return (self.eq_lambda.ok and self.eq_gamma.ok and self.m_lambda_zero.ok
-                and self.lambda_nonneg.ok and self.lambda_plus_delta_gamma_nonneg.ok
-                and self.psd_at_zero.ok and self.psd_at_delta.ok)
+        return all(self.condition_flags().values())
 
     def condition_flags(self) -> dict[str, bool]:
         return {
@@ -158,8 +157,8 @@ class MembershipReport:
             "m_lambda_zero": self.m_lambda_zero.ok,
             "lambda_nonneg": self.lambda_nonneg.ok,
             "lambda_plus_delta_gamma_nonneg": self.lambda_plus_delta_gamma_nonneg.ok,
-            "psd_at_zero": self.psd_at_zero.ok,
-            "psd_at_delta": self.psd_at_delta.ok,
+            "psd_at_zero": self.psd_at_zero.is_psd,
+            "psd_at_delta": self.psd_at_delta.is_psd,
         }
 
     def failed_conditions(self) -> list[str]:
@@ -177,7 +176,7 @@ def delta_cap(pattern: StepsizePattern) -> Fraction:
 
 
 def _check_delta_precondition(cert: Certificate, allow_large_delta: bool) -> None:
-    cap = 1 / (2 * cert.pattern.sum_h)
+    cap = delta_cap(cert.pattern)
     if cert.Delta > cap and not allow_large_delta:
         raise PreconditionError(
             f"Delta={rat_to_str(cert.Delta)} exceeds 1/(2*sum(h))={rat_to_str(cap)}; "
@@ -230,6 +229,20 @@ def _linear_verdicts(cert: Certificate) -> dict:
     }
 
 
+def _eps_min(cert: Certificate) -> Fraction | Infeasible:
+    """Schur complement of the corner in the two bordered blocks,
+    eps_min = max(m' M0^+ m, m' MD^+ m) / t - avg(h), when m lies in the range
+    of both trailing blocks and both are PSD; otherwise no finite eps works."""
+    values = []
+    for name, e in zip(("trailing block at 0", "trailing block at Delta"), cert.eliminations):
+        if not e.psd:
+            return Infeasible(f"{name} is not positive semidefinite")
+        if not e.in_range:
+            return Infeasible(f"m(gamma) is outside the range of the {name}")
+        values.append(e.value)
+    return max(values) / cert.t - cert.pattern.avg_h
+
+
 def check_membership(cert: Certificate, *, allow_large_delta: bool = False) -> MembershipReport:
     """Decide membership of (lambda, gamma) in the certificate set, exactly.
 
@@ -238,15 +251,15 @@ def check_membership(cert: Certificate, *, allow_large_delta: bool = False) -> M
     most delta - sum(h_i - eps) * delta^2 for every normalized initial gap
     delta in [0, Delta]. Each bordered block is decided through its trailing
     block by one integer elimination; a reject carries an exact witness.
+    ``eps_min`` is read off the same two eliminations.
     """
     _check_delta_precondition(cert, allow_large_delta)
-    op = cert.operator
-    p0 = op.eliminate(Fraction(0), rescaled=True).bordered(cert.corner)
-    pD = op.eliminate(cert.Delta, rescaled=True).bordered(cert.corner)
+    e0, eD = cert.eliminations
     return MembershipReport(
         **_linear_verdicts(cert),
-        psd_at_zero=PsdConditionVerdict(p0.is_psd, p0),
-        psd_at_delta=PsdConditionVerdict(pD.is_psd, pD),
+        psd_at_zero=e0.bordered(cert.corner),
+        psd_at_delta=eD.bordered(cert.corner),
+        eps_min=_eps_min(cert),
     )
 
 
@@ -284,34 +297,20 @@ def minimal_epsilon(
 ) -> Fraction | Infeasible:
     """Smallest eps for which (lambda, gamma) certifies the pattern at this Delta.
 
-    Schur complement of the corner in the two bordered blocks:
-        eps_min = max(m' M0^+ m, m' MD^+ m) / t - avg(h),
-    valid whenever m lies in the range of both trailing blocks and both are
-    PSD; otherwise no finite eps works and Infeasible is returned. The
+    The ``eps_min`` of ``check_membership`` on the pair at eps = 0. The
     preconditions are the equality and nonnegativity conditions of
-    ``check_membership`` (and its Delta cap); they are checked on the probe
-    certificate whose operator is then used.
+    ``check_membership`` (and its Delta cap); they are checked on the same
+    probe certificate.
     """
+    probe = Certificate(pattern, Delta, Fraction(0), lam, gam)
     if check_preconditions:
-        probe = Certificate(pattern, Delta, Fraction(0), lam, gam)
         _check_delta_precondition(probe, False)
         failures = [c for c, v in _linear_verdicts(probe).items() if not v.ok]
         if failures:
             raise PreconditionError(
                 "minimal_epsilon requires the equality and nonnegativity conditions; "
                 "failing: " + ", ".join(failures))
-        op = probe.operator
-    else:
-        op = pep_operator(pattern, lam, gam)
-    values = []
-    for name, delta in (("trailing block at 0", Fraction(0)), ("trailing block at Delta", Delta)):
-        e = op.eliminate(delta, rescaled=True)
-        if not e.psd:
-            return Infeasible(f"{name} is not positive semidefinite")
-        if not e.in_range:
-            return Infeasible(f"m(gamma) is outside the range of the {name}")
-        values.append(e.value)
-    return max(values) / pattern.t - pattern.avg_h
+    return _eps_min(probe)
 
 
 @dataclass(frozen=True)

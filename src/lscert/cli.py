@@ -22,7 +22,6 @@ from .certificate import (
     check_pointwise,
     guarantee_of,
     load_certificate,
-    minimal_epsilon,
     save_certificate,
     Infeasible,
 )
@@ -102,8 +101,7 @@ def _verify_one(path: str, recompute_eps: bool, pointwise: int,
         entry["rate_coefficient_float"] = float(g.avg_minus_eps)
         entry["provenance"] = g.provenance
     if recompute_eps:
-        em = minimal_epsilon(cert.pattern, cert.Delta, cert.lam, cert.gam,
-                             check_preconditions=False)
+        em = report.eps_min
         if isinstance(em, Infeasible):
             entry["eps_min"] = None
             entry["eps_min_note"] = em.reason
@@ -159,7 +157,7 @@ def _verify_one_star(wa):
 def cmd_generate(args) -> CommandOutcome:
     _, pattern = _resolve_pattern(args)
     delta = rat_from_decimal(args.delta)
-    opts = SolveOptions(max_iters=args.max_iters, tol=args.tol, seed=args.seed)
+    opts = SolveOptions(max_iters=args.max_iters, tol=args.tol)
     cert, report, eps_min = generate(pattern, delta, opts,
                                      denom_bits=args.denom_bits, verbose=args.verbose)
     g = guarantee_of(cert, report)
@@ -304,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fix the rounding denominator (default: 53, 80, 128 ladder)")
     g.add_argument("--max-iters", type=int, default=200)
     g.add_argument("--tol", type=float, default=1e-8)
-    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--verbose", action="store_true")
     g.add_argument("--json", action="store_true")
     g.set_defaults(func=cmd_generate)

@@ -36,7 +36,7 @@ from .exact_linalg import RatMatrix, rat_to_str, rref
 from .pep_builder import PairTable, StepsizePattern, pair_table
 
 DESK_SCALE_MAX_T = 127          # verification-side cap: t + 2 <= 129
-DEFAULT_GENERATION_MAX_T = 31   # numerical generation supported by default
+DEFAULT_GENERATION_MAX_T = 31   # longest pattern generate and evaluate_primal accept
 
 
 class NotFound(Exception):
@@ -61,9 +61,10 @@ class RoundingFailure(Exception):
 class SolveOptions:
     max_iters: int = 200
     tol: float = 1e-8
-    seed: int = 0               # recorded for provenance; the solve itself is deterministic
 
     def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters={self.max_iters} must be at least 1")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -228,7 +229,6 @@ class FloatCertificate:
     residuals: dict[str, float] = field(default_factory=dict)
     solver_status: str = ""
     solver: dict = field(default_factory=dict)     # ConicResult.summary()
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "lam", np.ascontiguousarray(self.lam, dtype=float))
@@ -260,7 +260,6 @@ def _validate_search_inputs(pattern: StepsizePattern, Delta: Fraction | float,
 
 def solve_approx(pattern: StepsizePattern, Delta: float,
                  opts: SolveOptions | None = None, *,
-                 max_t: int = DESK_SCALE_MAX_T,
                  verbose: bool = False) -> FloatCertificate:
     """Find an approximate multiplier pair by pure-feasibility path following.
 
@@ -278,7 +277,7 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
     visible in the Schur system at unit scale.
     """
     opts = opts or SolveOptions()
-    _validate_search_inputs(pattern, Delta, max_t)
+    _validate_search_inputs(pattern, Delta, DESK_SCALE_MAX_T)
     t = pattern.t
     table = pair_table(pattern)
     n_pairs = len(table.pairs)
@@ -355,7 +354,6 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
         gam=np.array(_pair_rows(table, gam_vec, 0.0)),
         solver_status=res.status,
         solver=res.summary(),
-        seed=opts.seed,
     )
     viol = fc.worst_violation()
     min_eig = min(fc.residuals["min_eig_psd_at_zero"], fc.residuals["min_eig_psd_at_delta"])
@@ -494,7 +492,6 @@ def _tidy_eps_ceiling(em: Fraction) -> Fraction:
 def generate(pattern: StepsizePattern, Delta: Fraction | float,
              opts: SolveOptions | None = None, *,
              denom_bits: int | None = None,
-             max_t: int = DEFAULT_GENERATION_MAX_T,
              verbose: bool = False) -> tuple[Certificate, MembershipReport, Fraction]:
     """Full pipeline: numerical solve, exact rounding, exact verification.
 
@@ -503,14 +500,16 @@ def generate(pattern: StepsizePattern, Delta: Fraction | float,
     RoundingFailure otherwise.
     """
     opts = opts or SolveOptions()
-    _validate_search_inputs(pattern, Delta, max_t)
+    _validate_search_inputs(pattern, Delta, DEFAULT_GENERATION_MAX_T)
+    if denom_bits is not None and denom_bits < 1:
+        raise PreconditionError(f"denom_bits={denom_bits} must be at least 1")
     Delta_exact = Delta if isinstance(Delta, Fraction) else Fraction(Delta)
     cap = delta_cap(pattern)
     if Delta_exact > cap:
         raise PreconditionError(
             f"Delta={rat_to_str(Delta_exact)} exceeds min(1/2, 1/(2 sum h))={rat_to_str(cap)}")
-    approx = solve_approx(pattern, float(Delta_exact), opts, max_t=max_t, verbose=verbose)
-    ladder = (denom_bits,) if denom_bits else DENOM_BITS_LADDER
+    approx = solve_approx(pattern, float(Delta_exact), opts, verbose=verbose)
+    ladder = (denom_bits,) if denom_bits is not None else DENOM_BITS_LADDER
     last_error: Exception | None = None
     for bits in ladder:
         try:

@@ -146,7 +146,7 @@ class TestMinimalEpsilon:
         below = Certificate(t7.pattern, t7.Delta, em * F(999, 1000),
                             t7.lam, t7.gam)
         rep = check_membership(below)
-        assert not (rep.psd_at_zero.ok and rep.psd_at_delta.ok)
+        assert not (rep.psd_at_zero.is_psd and rep.psd_at_delta.is_psd)
 
     def test_two_step_eps_min_is_zero_and_shaving_breaks_psd(self):
         cert = two_step_certificate(F(1, 2))
@@ -164,6 +164,14 @@ class TestMinimalEpsilon:
         out = minimal_epsilon(h, F(1, 100), RatMatrix.zeros(3), gam,
                               check_preconditions=False)
         assert isinstance(out, Infeasible)
+
+    def test_unchecked_pair_is_still_a_certificate(self):
+        # the probe is a Certificate even without the preconditions, so a
+        # multiplier with a nonzero diagonal is refused
+        h = StepsizePattern((F(1),))
+        lam = RatMatrix.from_rows([[F(1), 0, 0], [0, 0, 0], [0, 0, 0]])
+        with pytest.raises(CertificateError, match="diagonal"):
+            minimal_epsilon(h, F(1, 100), lam, RatMatrix.zeros(3), check_preconditions=False)
 
 
 def reference_eps_min(cert: Certificate):
@@ -222,9 +230,9 @@ class TestAgreesWithFractionKernels:
         for cert in certs:
             rep = check_membership(cert)
             for cond, X in zip((rep.psd_at_zero, rep.psd_at_delta), psd_blocks(cert)):
-                assert cond.ok == psd_check(X).is_psd
-                if not cond.ok:
-                    w = cond.verdict.witness
+                assert cond.is_psd == psd_check(X).is_psd
+                if not cond.is_psd:
+                    w = cond.witness
                     assert quad_form(X, w.vector) == w.value < 0
 
     def test_minimal_epsilon(self, certs):
@@ -233,6 +241,8 @@ class TestAgreesWithFractionKernels:
                                  check_preconditions=False)
             ref = reference_eps_min(cert)
             assert (None if isinstance(em, Infeasible) else em) == ref
+            # the report reads the same value off its own two eliminations
+            assert check_membership(cert).eps_min == em
 
     def test_pointwise(self, certs):
         for cert in certs:

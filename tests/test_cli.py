@@ -1,6 +1,9 @@
 import json
 import random
 
+import pytest
+
+import lscert.certificate
 from lscert.bundled import certificate_path
 from lscert.cli import EXIT_FALSE, EXIT_OK, EXIT_USAGE, main
 
@@ -31,6 +34,21 @@ class TestVerify:
                            "--recompute-eps")
         assert code == EXIT_OK
         assert "eps_min" in out
+
+    def test_recompute_eps_reuses_the_membership_eliminations(self, capsys, monkeypatch):
+        # one operator per file, two M_mat calls: eps_min is read off the report
+        calls = []
+        real = lscert.certificate.M_mat
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lscert.certificate, "M_mat", counted)
+        code, out, _ = run(capsys, "verify", "--recompute-eps",
+                           str(certificate_path("t7")), str(certificate_path("t15")))
+        assert code == EXIT_OK and out.count("eps_min") == 2
+        assert len(calls) == 4
 
     def test_pointwise_flag(self, capsys):
         code, out, _ = run(capsys, "verify", str(certificate_path("t3")),
@@ -151,6 +169,14 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "--pattern", "2.9,1.5", "--delta", delta)
         assert code == EXIT_USAGE
         assert "exceeds" in err and "not found" not in err
+
+    @pytest.mark.parametrize("flag,value", [("--denom-bits", "-5"), ("--denom-bits", "0"),
+                                            ("--max-iters", "-1"), ("--max-iters", "0")])
+    def test_nonpositive_count_exits_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "generate", "--pattern", "1", "--delta", "0.01",
+                             flag, value)
+        assert code == EXIT_USAGE
+        assert f"{flag[2:].replace('-', '_')}={value}" in err and not out
 
     def test_bad_pattern_exits_2(self, capsys):
         code, _, err = run(capsys, "generate", "--pattern", "1.5,oops",
