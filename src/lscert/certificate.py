@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -88,6 +88,16 @@ class Certificate:
     def corner(self) -> Fraction:
         """sum_i (h_i + eps): the corner of both membership blocks."""
         return self.pattern.sum_h + self.t * self.epsilon
+
+    def with_epsilon(self, epsilon: Fraction) -> Certificate:
+        """The same pair at another eps. eps enters only the corner, so the copy
+        shares whatever operator, eliminations and nonnegativity levels this
+        certificate has computed."""
+        cert = replace(self, epsilon=epsilon)
+        for name in ("operator", "eliminations", "nonneg_levels"):
+            if name in self.__dict__:
+                cert.__dict__[name] = self.__dict__[name]
+        return cert
 
     @cached_property
     def operator(self) -> PepOperator:

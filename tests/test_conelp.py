@@ -1,4 +1,4 @@
-"""The solver's factor-once Newton solves and its stall stop."""
+"""The solver's svec layer, its factor-once Newton solves and its stall stop."""
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,6 +7,70 @@ import pytest
 from lscert import conelp, sdp_search
 from lscert.bundled import bundled_pattern, bundled_pattern_meta
 from lscert.pep_builder import StepsizePattern
+
+
+def svec_pack_per_call(M: np.ndarray) -> np.ndarray:
+    """Reference: the svec pack that built its indices and weights per call."""
+    p = M.shape[-1]
+    iu, ju = np.triu_indices(p)
+    w = np.where(iu == ju, 1.0, float(np.sqrt(2.0)))
+    return M[..., iu, ju] * w
+
+
+def svec_unpack_per_call(v: np.ndarray, p: int) -> np.ndarray:
+    """Reference: the svec unpack that built its indices and weights per call."""
+    iu, ju = np.triu_indices(p)
+    w = np.where(iu == ju, 1.0, 1.0 / float(np.sqrt(2.0)))
+    lead = v.shape[:-1]
+    M = np.zeros(lead + (p, p))
+    M[..., iu, ju] = v * w
+    M[..., ju, iu] = M[..., iu, ju]
+    return M
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p", range(1, 21))
+def test_svec_layer_matches_per_call_reference(p):
+    rng = np.random.default_rng(p)
+    sd = p * (p + 1) // 2
+    M = rng.standard_normal((p, p))
+    assert same_bytes(conelp.svec_pack(M), svec_pack_per_call(M))
+    v = rng.standard_normal(sd)
+    assert same_bytes(conelp.svec_unpack(v, p), svec_unpack_per_call(v, p))
+    assert same_bytes(conelp.svec_identity(p), svec_pack_per_call(np.eye(p)))
+    d = rng.random(p)
+    assert same_bytes(conelp._svec_diag(d), svec_pack_per_call(np.diag(d)))
+    # a batch of matrices, as _Schur carries one per constraint column
+    T = rng.standard_normal((6, p, p))
+    assert same_bytes(conelp.svec_pack(T), svec_pack_per_call(T))
+    V = rng.standard_normal((6, sd))
+    assert same_bytes(conelp.svec_unpack(V, p), svec_unpack_per_call(V, p))
+    # _Schur's inputs: a matmul congruence of the batch, and columns of A
+    # read through a transpose (not contiguous)
+    R = rng.standard_normal((p, p))
+    Tt = np.matmul(np.matmul(R.T, T), R)
+    assert same_bytes(conelp.svec_pack(Tt), svec_pack_per_call(Tt))
+    assert same_bytes(conelp.svec_pack(Tt.swapaxes(-1, -2)),
+                      svec_pack_per_call(Tt.swapaxes(-1, -2)))
+    cols = rng.standard_normal((sd + 3, 12))[2:2 + sd, ::2].T
+    assert not cols.flags.c_contiguous
+    assert same_bytes(conelp.svec_unpack(cols, p), svec_unpack_per_call(cols, p))
+
+
+def test_svec_layout_is_shared_read_only():
+    layout = conelp._svec_layout(5)
+    assert conelp._svec_layout(5) is layout  # computed once per order
+    rng = np.random.default_rng(3)
+    outputs = [conelp.svec_pack(rng.standard_normal((5, 5))),
+               conelp.svec_unpack(rng.standard_normal(15), 5),
+               conelp.svec_identity(5), conelp._svec_diag(rng.random(5))]
+    for a in layout:
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+        assert not any(np.shares_memory(out, a) for out in outputs)
 
 
 def chol_solve_per_call(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
+import lscert.certificate
 from lscert import sdp_search
-from lscert.certificate import PreconditionError, check_membership
+from lscert.certificate import Certificate, PreconditionError, check_membership
 from lscert.conelp import ConeDims, solve_conic, svec_pack, svec_unpack
 from lscert.exact_linalg import RatMatrix
 from lscert.pep_builder import STAR, StepsizePattern, pair_table
@@ -234,6 +235,13 @@ class TestRounding:
         assert rounded.lam == cert.lam
         assert rounded.gam == cert.gam
 
+    @pytest.mark.parametrize("bits", [0, -5])
+    def test_refuses_denom_bits_below_one(self, bits):
+        # at these values every entry up to 2^3 snapped to zero: an eps = 1 pair
+        approx = solve_approx(StepsizePattern((F(1),)), 0.01)
+        with pytest.raises(PreconditionError, match=f"denom_bits={bits}"):
+            round_to_exact(approx, bits, exact_delta=F(1, 100))
+
     def test_free_entries_are_dyadic(self):
         h = StepsizePattern.from_text("2.9,1.5")
         cert, _, _ = generate(h, F(1, 1000), denom_bits=53)
@@ -275,6 +283,32 @@ class TestGenerate:
         assert float(delta) <= 1.0 / (2.0 * float(h.sum_h)) + 1e-15
         with pytest.raises(PreconditionError, match="exceeds"):
             generate(h, delta)
+
+    def test_one_rung_builds_one_operator(self, monkeypatch):
+        # the final certificate and its report reuse the operator and the
+        # eliminations of the eps = 0 probe: one M_mat call per multiplier
+        calls = []
+        real = lscert.certificate.M_mat
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lscert.certificate, "M_mat", counted)
+        cert, report, _ = generate(StepsizePattern.from_text("2.9,1.5"), F(1, 1000),
+                                   denom_bits=53)
+        assert len(calls) == 2
+        fresh = Certificate(cert.pattern, cert.Delta, cert.epsilon, cert.lam, cert.gam)
+        assert report == check_membership(fresh)
+
+    @pytest.mark.parametrize("bits", [0, -5])
+    def test_denom_bits_below_one_refused_before_the_solve(self, monkeypatch, bits):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver called on a refused input")
+
+        monkeypatch.setattr(sdp_search, "solve_conic", no_solve)
+        with pytest.raises(PreconditionError, match=f"denom_bits={bits}"):
+            generate(StepsizePattern((F(1),)), F(1, 100), denom_bits=bits)
 
     def test_generation_scale_cap(self):
         big = StepsizePattern((F(1),) * 40)
