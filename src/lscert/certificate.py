@@ -99,6 +99,14 @@ class Certificate:
                 cert.__dict__[name] = self.__dict__[name]
         return cert
 
+    def with_delta(self, Delta: Fraction) -> Certificate:
+        """The same pair at another gap cap, sharing this certificate's operator
+        (built here if it was not yet): the operator does not depend on Delta,
+        the eliminations and the nonnegativity levels do."""
+        cert = replace(self, Delta=Delta)
+        cert.__dict__["operator"] = self.operator
+        return cert
+
     @cached_property
     def operator(self) -> PepOperator:
         """The operator of the multiplier pair: two calls of M_mat, one per multiplier."""

@@ -18,6 +18,7 @@ from . import bundled
 from .certificate import (
     Certificate,
     CertificateError,
+    _label,
     check_membership,
     check_pointwise,
     guarantee_of,
@@ -27,7 +28,7 @@ from .certificate import (
 )
 from .exact_linalg import RationalParseError, rat_from_decimal, rat_to_str
 from .gd_lab import emit_csv, gen_least_squares, run_gd
-from .pep_builder import StepsizePattern, build_pep_data, index_pairs, STAR
+from .pep_builder import StepsizePattern, build_pep_data, index_pairs
 from .rates import ProblemScale, UnsupportedRegimeError, bound_at, rate_guarantee
 from .sdp_search import NotFound, RoundingFailure, SolveOptions, generate
 
@@ -246,10 +247,6 @@ def cmd_simulate(args) -> CommandOutcome:
 
 
 # --- dump-pep -------------------------------------------------------------------
-
-def _label(i) -> str:
-    return "*" if i is STAR else str(i)
-
 
 def cmd_dump_pep(args) -> CommandOutcome:
     _, pattern = _resolve_pattern(args)

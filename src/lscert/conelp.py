@@ -133,6 +133,21 @@ class ConicResult:
                 "lstsq_fallbacks": self.lstsq_fallbacks}
 
 
+def _blocks(dims: ConeDims, v: np.ndarray) -> list[np.ndarray]:
+    """The PSD blocks of cone vector v, unpacked; for a batch of cone vectors
+    (one per row), one stack of matrices per block."""
+    blocks, off = [], dims.nonneg
+    for p, sd in zip(dims.psd, dims.svec_dims):
+        blocks.append(svec_unpack(v[..., off:off + sd], p))
+        off += sd
+    return blocks
+
+
+def _join(lp: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """The cone vector with LP part lp and PSD blocks ``blocks``."""
+    return np.concatenate([lp] + [svec_pack(M) for M in blocks])
+
+
 class _Scaling:
     """Nesterov-Todd scaling point for one iterate."""
 
@@ -144,19 +159,14 @@ class _Scaling:
         self.R: list[np.ndarray] = []
         self.Rinv: list[np.ndarray] = []
         self.d: list[np.ndarray] = []
-        off = l
-        for p, sd in zip(dims.psd, dims.svec_dims):
-            X = svec_unpack(x[off:off + sd], p)
-            S = svec_unpack(s[off:off + sd], p)
+        for X, S in zip(_blocks(dims, x), _blocks(dims, s)):
             Lx = np.linalg.cholesky(X)
             Ls = np.linalg.cholesky(S)
             U, d, Vt = np.linalg.svd(Ls.T @ Lx)
-            R = Lx @ Vt.T / np.sqrt(d)
-            Rinv = (U / np.sqrt(d)).T @ Ls.T
-            self.R.append(R)
-            self.Rinv.append(Rinv)
+            self.R.append(Lx @ Vt.T / np.sqrt(d))
+            self.Rinv.append((U / np.sqrt(d)).T @ Ls.T)
             self.d.append(d)
-            off += sd
+        self.W = [R @ R.T for R in self.R]
 
     def mu(self) -> float:
         return (float(np.dot(self.lam_lp, self.lam_lp)) +
@@ -165,72 +175,35 @@ class _Scaling:
     # --- scaled-space maps ------------------------------------------------
     def scale_x(self, dx: np.ndarray) -> np.ndarray:
         """dx_bar = W^{-1}(dx): LP divide by w; PSD Rinv (.) Rinv'."""
-        l = self.dims.nonneg
-        out = [dx[:l] / self.w]
-        off = l
-        for p, sd, Rinv in zip(self.dims.psd, self.dims.svec_dims, self.Rinv):
-            M = svec_unpack(dx[off:off + sd], p)
-            out.append(svec_pack(Rinv @ M @ Rinv.T))
-            off += sd
-        return np.concatenate(out)
+        return _join(dx[:self.dims.nonneg] / self.w,
+                     [Rinv @ M @ Rinv.T for M, Rinv in zip(_blocks(self.dims, dx), self.Rinv)])
 
     def scale_s(self, ds: np.ndarray) -> np.ndarray:
         """ds_bar = W(ds): LP multiply by w; PSD R' (.) R."""
-        l = self.dims.nonneg
-        out = [ds[:l] * self.w]
-        off = l
-        for p, sd, R in zip(self.dims.psd, self.dims.svec_dims, self.R):
-            M = svec_unpack(ds[off:off + sd], p)
-            out.append(svec_pack(R.T @ M @ R))
-            off += sd
-        return np.concatenate(out)
+        return _join(ds[:self.dims.nonneg] * self.w,
+                     [R.T @ M @ R for M, R in zip(_blocks(self.dims, ds), self.R)])
 
     def unscale_x(self, dxb: np.ndarray) -> np.ndarray:
         """dx = W(dx_bar): LP multiply by w; PSD R (.) R'."""
-        l = self.dims.nonneg
-        out = [dxb[:l] * self.w]
-        off = l
-        for p, sd, R in zip(self.dims.psd, self.dims.svec_dims, self.R):
-            M = svec_unpack(dxb[off:off + sd], p)
-            out.append(svec_pack(R @ M @ R.T))
-            off += sd
-        return np.concatenate(out)
+        return _join(dxb[:self.dims.nonneg] * self.w,
+                     [R @ M @ R.T for M, R in zip(_blocks(self.dims, dxb), self.R)])
 
     def apply_w2(self, v: np.ndarray) -> np.ndarray:
         """W^2(v): LP multiply by w^2; PSD W (.) W with W = R R'."""
-        l = self.dims.nonneg
-        out = [v[:l] * self.w ** 2]
-        off = l
-        for p, sd, R in zip(self.dims.psd, self.dims.svec_dims, self.R):
-            M = svec_unpack(v[off:off + sd], p)
-            W = R @ R.T
-            out.append(svec_pack(W @ M @ W))
-            off += sd
-        return np.concatenate(out)
+        return _join(v[:self.dims.nonneg] * self.w ** 2,
+                     [W @ M @ W for M, W in zip(_blocks(self.dims, v), self.W)])
 
     # --- complementarity algebra in scaled space ---------------------------
     def solve_jordan(self, rhs: np.ndarray) -> np.ndarray:
         """Solve lam o z = rhs for z, with lam the (diagonal) scaled point."""
-        l = self.dims.nonneg
-        out = [rhs[:l] / self.lam_lp]
-        off = l
-        for p, sd, d in zip(self.dims.psd, self.dims.svec_dims, self.d):
-            Mr = svec_unpack(rhs[off:off + sd], p)
-            denom = 0.5 * (d[:, None] + d[None, :])
-            out.append(svec_pack(Mr / denom))
-            off += sd
-        return np.concatenate(out)
+        return _join(rhs[:self.dims.nonneg] / self.lam_lp,
+                     [M / (0.5 * (d[:, None] + d[None, :]))
+                      for M, d in zip(_blocks(self.dims, rhs), self.d)])
 
     def jordan_product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         l = self.dims.nonneg
-        out = [u[:l] * v[:l]]
-        off = l
-        for p, sd in zip(self.dims.psd, self.dims.svec_dims):
-            U = svec_unpack(u[off:off + sd], p)
-            V = svec_unpack(v[off:off + sd], p)
-            out.append(svec_pack(0.5 * (U @ V + V @ U)))
-            off += sd
-        return np.concatenate(out)
+        return _join(u[:l] * v[:l], [0.5 * (U @ V + V @ U) for U, V in
+                                     zip(_blocks(self.dims, u), _blocks(self.dims, v))])
 
     def lam_sq(self) -> np.ndarray:
         """lam o lam, with lam = W^{-1} x = W s the scaled point (diagonal in
@@ -239,20 +212,15 @@ class _Scaling:
 
     def step_to_boundary(self, dbar: np.ndarray) -> float:
         """Largest alpha with lam + alpha*dbar staying in the cone (scaled space)."""
-        l = self.dims.nonneg
         alpha = np.inf
-        lp = dbar[:l]
+        lp = dbar[:self.dims.nonneg]
         neg = lp < 0
         if neg.any():
             alpha = min(alpha, float(np.min(-self.lam_lp[neg] / lp[neg])))
-        off = l
-        for p, sd, d in zip(self.dims.psd, self.dims.svec_dims, self.d):
-            M = svec_unpack(dbar[off:off + sd], p)
-            T = M / np.sqrt(d)[:, None] / np.sqrt(d)[None, :]
-            emin = float(np.linalg.eigvalsh(T)[0])
+        for M, d in zip(_blocks(self.dims, dbar), self.d):
+            emin = float(np.linalg.eigvalsh(M / np.sqrt(d)[:, None] / np.sqrt(d)[None, :])[0])
             if emin < 0:
                 alpha = min(alpha, 1.0 / (-emin))
-            off += sd
         return alpha
 
 
@@ -262,19 +230,18 @@ class SolverOptions:
     tol: float = 1e-9
     verbose: bool = False
 
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters={self.max_iters} must be nonnegative")
+
 
 def _identity_point(dims: ConeDims) -> np.ndarray:
     return np.concatenate([np.ones(dims.nonneg)] + [svec_identity(p) for p in dims.psd])
 
 
 def _min_cone_eig(dims: ConeDims, v: np.ndarray) -> float:
-    l = dims.nonneg
-    m = float(v[:l].min()) if l else np.inf
-    off = l
-    for p, sd in zip(dims.psd, dims.svec_dims):
-        m = min(m, float(np.linalg.eigvalsh(svec_unpack(v[off:off + sd], p))[0]))
-        off += sd
-    return m
+    m = float(v[:dims.nonneg].min()) if dims.nonneg else np.inf
+    return min([m] + [float(np.linalg.eigvalsh(M)[0]) for M in _blocks(dims, v)])
 
 
 def _shift_into_cone(dims: ConeDims, v: np.ndarray, floor: float = 1.0) -> np.ndarray:
@@ -291,14 +258,8 @@ class _Schur:
     def __init__(self, A: np.ndarray, dims: ConeDims):
         self.A = A
         self.dims = dims
-        l = dims.nonneg
-        self.A_lp = A[:l, :]
-        self.blocks: list[np.ndarray] = []  # (m, p, p) tensors
-        off = l
-        for p, sd in zip(dims.psd, dims.svec_dims):
-            cols = A[off:off + sd, :].T  # (m, sd)
-            self.blocks.append(svec_unpack(cols, p))
-            off += sd
+        self.A_lp = A[:dims.nonneg, :]
+        self.blocks = _blocks(dims, A.T)  # one (m, p, p) stack per block
 
     def factor(self, sc: _Scaling) -> np.ndarray:
         m = self.A.shape[1]
@@ -413,7 +374,7 @@ def solve_conic(
                        jitter_retries=events.jitter_retries,
                        lstsq_fallbacks=events.lstsq_fallbacks)
 
-    for it in range(opts.max_iters):
+    for it in range(opts.max_iters + 1):
         rx = A.T @ x - b            # primal equality residual
         rs = A @ y + s - c          # dual residual
         gap = float(np.dot(x, s))
@@ -422,6 +383,9 @@ def solve_conic(
         pres = float(np.linalg.norm(rx)) / bnorm
         dres = float(np.linalg.norm(rs)) / cnorm
         relgap = gap / max(1.0, abs(pobj), abs(dobj))
+        if it == opts.max_iters:
+            return finish(ConicResult("", y, x, s, dobj, it, it, pres, dres, relgap),
+                          "max_iters", it)
         if not all(map(np.isfinite, (gap, pobj, dobj, pres, dres))):
             if best is not None:
                 return finish(best, "breakdown", it)
@@ -492,12 +456,3 @@ def solve_conic(
         y = y + alpha_d * dy
         s = s + alpha_d * ds
 
-    rx = A.T @ x - b
-    rs = A @ y + s - c
-    gap = float(np.dot(x, s))
-    pres = float(np.linalg.norm(rx)) / bnorm
-    dres = float(np.linalg.norm(rs)) / cnorm
-    relgap = gap / max(1.0, abs(float(np.dot(c, x))), abs(float(np.dot(b, y))))
-    n_it = opts.max_iters
-    return finish(ConicResult("", y, x, s, float(np.dot(b, y)), n_it, n_it, pres, dres, relgap),
-                  "max_iters", n_it)

@@ -17,6 +17,7 @@ import numpy as np
 from .certificate import (
     Certificate,
     Infeasible,
+    MAX_T,
     MembershipReport,
     PreconditionError,
     _eps_min,
@@ -37,7 +38,6 @@ from .conelp import (
 from .exact_linalg import RatMatrix, rat_to_str, rref
 from .pep_builder import PairTable, StepsizePattern, pair_table
 
-DESK_SCALE_MAX_T = 127          # verification-side cap: t + 2 <= 129
 DEFAULT_GENERATION_MAX_T = 31   # longest pattern generate and evaluate_primal accept
 
 
@@ -85,27 +85,37 @@ def _equality_systems(table: PairTable) -> tuple[tuple[RatMatrix, tuple[Fraction
             (RatMatrix.from_rows(E[:t + 1]), _rhs_gamma(table.pattern)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _AffineSpace:
-    """Exact solution set {x : E x = rhs} as particular + nullspace basis."""
-    particular: list[Fraction]
-    pivots: tuple[int, ...]         # original column indices
-    free: tuple[int, ...]           # original column indices
-    reduced: RatMatrix              # rref of [E | rhs] in permuted column order
-    _order: list[int]               # permuted column order used inside ``reduced``
-    _piv_sorted: tuple[int, ...]
-    _free_sorted: tuple[int, ...]
+    """Exact solution set {x : E x = rhs}: the free coordinates are arbitrary,
+    and pivot r is particular[pivots[r]] - sum_k coef[r][k] * x[free[k]]."""
+    particular: tuple[Fraction, ...]        # the solution with every free coordinate 0
+    pivots: tuple[int, ...]                 # original column indices
+    free: tuple[int, ...]                   # original column indices
+    coef: tuple[tuple[Fraction, ...], ...]  # one row per pivot, over ``free``
+
+    def solve(self, free_values: Sequence[Fraction]) -> list[Fraction]:
+        """The solution with x[free[k]] = free_values[k], pivots filled exactly."""
+        x = list(self.particular)
+        for f, v in zip(self.free, free_values):
+            x[f] = v
+        for c, row in zip(self.pivots, self.coef):
+            acc = self.particular[c]
+            for a, v in zip(row, free_values):
+                if a:
+                    acc -= a * v
+            x[c] = acc
+        return x
 
     def float_basis(self) -> np.ndarray:
         """Nullspace basis as floats, one column per free coordinate: 1 at that
-        coordinate, minus the reduced rows' entries at the pivot coordinates."""
+        coordinate, minus the pivot rows' coefficients at the pivot coordinates."""
         k, p = len(self.free), len(self.pivots)
-        R = self.reduced
-        basis = np.zeros((k, len(self._order)))
+        basis = np.zeros((k, len(self.particular)))
         basis[range(k), self.free] = 1.0
-        rows = [[float(R.entry(r, f)) for r in range(p)] for f in self._free_sorted]
+        rows = [[float(a) for a in row] for row in self.coef]
         # 0.0 - v keeps an exact zero positive, as float(-Fraction(0)) does
-        basis[:, list(self.pivots)] = 0.0 - np.array(rows).reshape(k, p)
+        basis[:, list(self.pivots)] = 0.0 - np.array(rows).reshape(p, k).T
         return basis.T
 
 
@@ -125,13 +135,13 @@ def _affine_space(E: RatMatrix, rhs: Sequence[Fraction],
     R, piv = rref(aug)
     if n in piv:
         raise ValueError("equality system is inconsistent")
-    piv_orig = tuple(order[c] for c in piv)
-    free_sorted = tuple(c for c in range(n) if c not in set(piv))
-    free_orig = tuple(order[c] for c in free_sorted)
+    free_sorted = sorted(set(range(n)) - set(piv))
     particular = [Fraction(0)] * n
     for r, c in enumerate(piv):
         particular[order[c]] = R.entry(r, n)
-    return _AffineSpace(particular, piv_orig, free_orig, R, order, piv, free_sorted)
+    return _AffineSpace(tuple(particular), tuple(order[c] for c in piv),
+                        tuple(order[c] for c in free_sorted),
+                        tuple(tuple(R.entry(r, f) for f in free_sorted) for r in range(len(piv))))
 
 
 def _pair_block_maps(table: PairTable) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +289,7 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
     visible in the Schur system at unit scale.
     """
     opts = opts or SolveOptions()
-    _validate_search_inputs(pattern, Delta, DESK_SCALE_MAX_T)
+    _validate_search_inputs(pattern, Delta, MAX_T)
     t = pattern.t
     table = pair_table(pattern)
     n_pairs = len(table.pairs)
@@ -297,7 +307,6 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
 
     BM, Bm = _pair_block_maps(table)
     dim = t + 2
-    sd = dim * (dim + 1) // 2
     sum_h = float(pattern.sum_h)
     box = 1e4 * (1.0 + sum_h)
 
@@ -375,23 +384,6 @@ def _dyadic(v: float, bits: int) -> Fraction:
     return Fraction(round(float(v) * scale), scale)
 
 
-def _solve_pivots(space: _AffineSpace, values: dict[int, Fraction],
-                  n: int) -> list[Fraction]:
-    """Fill pivot coordinates exactly given fixed free coordinates."""
-    x = [Fraction(0)] * n
-    for f in space.free:
-        x[f] = values[f]
-    R = space.reduced
-    for r, c_orig in enumerate(space.pivots):
-        acc = R.entry(r, n)  # reduced rhs
-        for f_sorted, f_orig in zip(space._free_sorted, space.free):
-            coef = R.entry(r, f_sorted)
-            if coef:
-                acc -= coef * x[f_orig]
-        x[c_orig] = acc
-    return x
-
-
 def _check_denom_bits(denom_bits: int) -> None:
     if denom_bits < 1:
         raise PreconditionError(f"denom_bits={denom_bits} must be at least 1")
@@ -411,7 +403,6 @@ def round_to_exact(approx: FloatCertificate, denom_bits: int = 53,
         raise PreconditionError("approximate certificate has non-finite residuals")
     pattern = approx.pattern
     table = pair_table(pattern)
-    n = len(table.pairs)
     # a float gap cap is a dyadic rational, so it carries over exactly
     Delta = exact_delta if exact_delta is not None else Fraction(approx.Delta)
 
@@ -428,48 +419,35 @@ def round_to_exact(approx: FloatCertificate, denom_bits: int = 53,
 
     # pivots go to large-magnitude entries, so the exact corrections from the
     # pivot solve cannot flip the sign of a boundary (near-zero) multiplier;
-    # an entry that still solves negative gets demoted to a clamped free
-    # coordinate and the system is re-pivoted
-    prio_l = np.abs(lam_f)
-    lam_vec = None
-    for _ in range(8):
-        sp_l = _affine_space(El, rl, priority=prio_l)
-        lam_free = {f: max(Fraction(0), round_entry(lam_f[f])) for f in sp_l.free}
-        lam_vec = _solve_pivots(sp_l, lam_free, n)
-        bad = [e for e, v in enumerate(lam_vec) if v < 0]
-        if not bad:
-            break
-        prio_l = prio_l.copy()
-        prio_l[bad] = -1.0
-    else:
-        bad = [e for e, v in enumerate(lam_vec) if v < 0]
+    # entries that still solve negative get demoted to free coordinates (which
+    # free_value keeps feasible) and the system is re-pivoted
+    def repivot(E, rhs, floats, free_value, bad_at, failure: str) -> list[Fraction]:
+        prio = np.abs(floats)
+        for _ in range(8):
+            space = _affine_space(E, rhs, priority=prio)
+            x = space.solve([free_value(f) for f in space.free])
+            bad = bad_at(x)  # entry -> its negative value
+            if not bad:
+                return x
+            prio[list(bad)] = -1.0
         raise RoundingFailure(
-            f"re-pivoting left {len(bad)} negative lambda entries (worst "
-            f"{float(min(lam_vec[e] for e in bad)):.3e}); retry with larger denom_bits")
+            f"re-pivoting left {failure.format(len(bad))} (worst "
+            f"{float(min(bad.values())):.3e}); retry with larger denom_bits")
 
-    prio_g = np.abs(gam_f)
-    gam_vec = None
-    for _ in range(8):
-        sp_g = _affine_space(Eg, rg, priority=prio_g)
-        gam_free = {}
-        for f in sp_g.free:
-            g = round_entry(gam_f[f])
-            if lam_vec[f] + Delta * g < 0:
-                g = -lam_vec[f] / Delta  # lift to the boundary of the nonnegativity face
-            gam_free[f] = g
-        gam_vec = _solve_pivots(sp_g, gam_free, n)
-        bad = [e for e in range(n) if lam_vec[e] + Delta * gam_vec[e] < 0]
-        if not bad:
-            break
-        prio_g = prio_g.copy()
-        prio_g[bad] = -1.0
-    else:
-        bad = [e for e in range(n) if lam_vec[e] + Delta * gam_vec[e] < 0]
-        worst = min(lam_vec[e] + Delta * gam_vec[e] for e in bad)
-        raise RoundingFailure(
-            f"re-pivoting left nonnegativity of lambda + Delta*gamma violated at "
-            f"{len(bad)} entries (worst {float(worst):.3e}); retry with larger "
-            "denom_bits")
+    def negatives(values: list[Fraction]) -> dict[int, Fraction]:
+        return {e: v for e, v in enumerate(values) if v < 0}
+
+    lam_vec = repivot(El, rl, lam_f, lambda f: max(Fraction(0), round_entry(lam_f[f])),
+                      negatives, "{} negative lambda entries")
+
+    def gam_free(f: int) -> Fraction:
+        g = round_entry(gam_f[f])
+        # lift to the boundary of the nonnegativity face
+        return g if lam_vec[f] + Delta * g >= 0 else -lam_vec[f] / Delta
+
+    gam_vec = repivot(Eg, rg, gam_f, gam_free,
+                      lambda x: negatives([v + Delta * g for v, g in zip(lam_vec, x)]),
+                      "nonnegativity of lambda + Delta*gamma violated at {} entries")
 
     return Certificate(pattern, Delta, Fraction(0),
                        RatMatrix.from_rows(_pair_rows(table, lam_vec, Fraction(0))),

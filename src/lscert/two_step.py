@@ -59,21 +59,19 @@ def bisect_dyadic_delta(eta: Fraction, resolution_bits: int = 16) -> Fraction:
     pattern = two_step_pattern(eta)
     lam, gam = two_step_multipliers(eta)
     cap = delta_cap(pattern)
+    unit = Fraction(1, 2 ** resolution_bits)
+    hi_n = int(cap / unit)    # largest admissible multiple of the resolution
+    # every probe shares the first probe's operator; only Delta changes
+    first = Certificate(pattern, hi_n * unit, Fraction(0), lam, gam)
 
     def passes(d: Fraction) -> bool:
-        cert = Certificate(pattern, d, Fraction(0), lam, gam)
-        return check_membership(cert).overall
+        return check_membership(first.with_delta(d)).overall
 
-    unit = Fraction(1, 2 ** resolution_bits)
-    lo = Fraction(0)          # membership not defined at 0; treated as "unknown pass"
-    hi_n = int(cap / unit)    # largest admissible multiple of the resolution
-    lo_n, fail_n = 0, hi_n + 1
+    lo_n, fail_n = 0, hi_n + 1   # membership is not defined at 0
     if passes(hi_n * unit):
         return hi_n * unit
     while fail_n - lo_n > 1:
         mid = (lo_n + fail_n) // 2
-        if mid == 0:
-            break
         if passes(mid * unit):
             lo_n = mid
         else:

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
 import random
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lscert.certificate
 from lscert.bundled import certificate_path
 from lscert.cli import EXIT_FALSE, EXIT_OK, EXIT_USAGE, main
+from lscert.exact_linalg import rat_from_decimal, rat_to_str
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -134,6 +141,61 @@ class TestVerify:
     def test_json_schema_version(self, capsys):
         code, out, _ = run(capsys, "verify", str(certificate_path("t3")), "--json")
         assert json.loads(out)["schema_version"] == 1
+
+
+KEYS = ("t", "h", "delta", "epsilon", "lambda", "gamma")
+BUNDLED_DOCS = {pid: certificate_path(pid).read_text() for pid in ("t2", "t3", "t7")}
+OTHER_TYPES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+                        st.text(max_size=4), st.just([]), st.just({}),
+                        st.lists(st.just("1"), max_size=3))
+
+
+def mutate(data, obj: dict) -> None:
+    """One hostile edit: drop a key, change `t`, change a row length, give a
+    value another type, or perturb a rational entry."""
+    kind = data.draw(st.sampled_from(["drop", "t", "row", "retype", "perturb"]))
+    if kind == "drop":
+        del obj[data.draw(st.sampled_from(KEYS))]
+    elif kind == "t":
+        obj["t"] = data.draw(st.integers(-1, 130))
+    elif kind == "row":
+        m = obj[data.draw(st.sampled_from(["lambda", "gamma"]))]
+        row = m[data.draw(st.integers(0, len(m) - 1))]
+        if data.draw(st.booleans()):
+            row.append("0")
+        else:
+            row.pop()
+    else:
+        holder, idx = obj, data.draw(st.sampled_from(KEYS[1:]))
+        # descend into a list (h, a matrix, a matrix row) most of the time
+        while isinstance(holder[idx], list) and holder[idx] and data.draw(st.integers(0, 3)):
+            holder, idx = holder[idx], data.draw(st.integers(0, len(holder[idx]) - 1))
+        if kind == "retype":
+            holder[idx] = data.draw(OTHER_TYPES)
+        elif isinstance(holder[idx], str):
+            v = rat_from_decimal(holder[idx])
+            d = Fraction(data.draw(st.integers(-3, 3)), 2 ** data.draw(st.integers(0, 64)))
+            holder[idx] = rat_to_str(v * (1 + d) if data.draw(st.booleans()) else v + d)
+
+
+class TestHostileMutants:
+    @settings(max_examples=150, deadline=10_000, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_verify_exits_0_1_or_2(self, data):
+        # property: `lscert verify` decides or refuses any single hostile edit
+        # of a bundled document, with a plain message and no traceback
+        obj = json.loads(BUNDLED_DOCS[data.draw(st.sampled_from(sorted(BUNDLED_DOCS)))])
+        mutate(data, obj)
+        flags = data.draw(st.sampled_from([[], ["--recompute-eps"], ["--pointwise", "2", "--json"]]))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "mutant.json"
+            path.write_text(json.dumps(obj))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["verify", str(path), *flags])
+        assert code in (EXIT_OK, EXIT_FALSE, EXIT_USAGE), err.getvalue()
+        assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
+        assert (code == EXIT_USAGE) == bool(err.getvalue())
 
 
 class TestGenerate:

@@ -232,3 +232,164 @@ def test_float_certificate_carries_the_solver_summary():
     fc = sdp_search.solve_approx(StepsizePattern((F(1),)), 0.01)
     assert fc.solver_status == fc.solver["status"] == "optimal"
     assert fc.solver["iterations"] == fc.solver["snapshot_iteration"] > 0
+
+
+# The scaling maps as the solver wrote them before one block walker served
+# them all: each loop walks the block offsets itself. The references for the
+# walker, kept byte for byte.
+def ref_scaling(dims, x, s):
+    l = dims.nonneg
+    R_, Rinv_, d_ = [], [], []
+    off = l
+    for p, sd in zip(dims.psd, dims.svec_dims):
+        X = conelp.svec_unpack(x[off:off + sd], p)
+        S = conelp.svec_unpack(s[off:off + sd], p)
+        Lx = np.linalg.cholesky(X)
+        Ls = np.linalg.cholesky(S)
+        U, d, Vt = np.linalg.svd(Ls.T @ Lx)
+        R_.append(Lx @ Vt.T / np.sqrt(d))
+        Rinv_.append((U / np.sqrt(d)).T @ Ls.T)
+        d_.append(d)
+        off += sd
+    return R_, Rinv_, d_
+
+
+def ref_scale_x(sc, dx):
+    l = sc.dims.nonneg
+    out = [dx[:l] / sc.w]
+    off = l
+    for p, sd, Rinv in zip(sc.dims.psd, sc.dims.svec_dims, sc.Rinv):
+        M = conelp.svec_unpack(dx[off:off + sd], p)
+        out.append(conelp.svec_pack(Rinv @ M @ Rinv.T))
+        off += sd
+    return np.concatenate(out)
+
+
+def ref_scale_s(sc, ds):
+    l = sc.dims.nonneg
+    out = [ds[:l] * sc.w]
+    off = l
+    for p, sd, R in zip(sc.dims.psd, sc.dims.svec_dims, sc.R):
+        M = conelp.svec_unpack(ds[off:off + sd], p)
+        out.append(conelp.svec_pack(R.T @ M @ R))
+        off += sd
+    return np.concatenate(out)
+
+
+def ref_unscale_x(sc, dxb):
+    l = sc.dims.nonneg
+    out = [dxb[:l] * sc.w]
+    off = l
+    for p, sd, R in zip(sc.dims.psd, sc.dims.svec_dims, sc.R):
+        M = conelp.svec_unpack(dxb[off:off + sd], p)
+        out.append(conelp.svec_pack(R @ M @ R.T))
+        off += sd
+    return np.concatenate(out)
+
+
+def ref_apply_w2(sc, v):
+    l = sc.dims.nonneg
+    out = [v[:l] * sc.w ** 2]
+    off = l
+    for p, sd, R in zip(sc.dims.psd, sc.dims.svec_dims, sc.R):
+        M = conelp.svec_unpack(v[off:off + sd], p)
+        W = R @ R.T
+        out.append(conelp.svec_pack(W @ M @ W))
+        off += sd
+    return np.concatenate(out)
+
+
+def ref_solve_jordan(sc, rhs):
+    l = sc.dims.nonneg
+    out = [rhs[:l] / sc.lam_lp]
+    off = l
+    for p, sd, d in zip(sc.dims.psd, sc.dims.svec_dims, sc.d):
+        Mr = conelp.svec_unpack(rhs[off:off + sd], p)
+        denom = 0.5 * (d[:, None] + d[None, :])
+        out.append(conelp.svec_pack(Mr / denom))
+        off += sd
+    return np.concatenate(out)
+
+
+def ref_jordan_product(sc, u, v):
+    l = sc.dims.nonneg
+    out = [u[:l] * v[:l]]
+    off = l
+    for p, sd in zip(sc.dims.psd, sc.dims.svec_dims):
+        U = conelp.svec_unpack(u[off:off + sd], p)
+        V = conelp.svec_unpack(v[off:off + sd], p)
+        out.append(conelp.svec_pack(0.5 * (U @ V + V @ U)))
+        off += sd
+    return np.concatenate(out)
+
+
+def ref_step_to_boundary(sc, dbar):
+    l = sc.dims.nonneg
+    alpha = np.inf
+    lp = dbar[:l]
+    neg = lp < 0
+    if neg.any():
+        alpha = min(alpha, float(np.min(-sc.lam_lp[neg] / lp[neg])))
+    off = l
+    for p, sd, d in zip(sc.dims.psd, sc.dims.svec_dims, sc.d):
+        M = conelp.svec_unpack(dbar[off:off + sd], p)
+        T = M / np.sqrt(d)[:, None] / np.sqrt(d)[None, :]
+        emin = float(np.linalg.eigvalsh(T)[0])
+        if emin < 0:
+            alpha = min(alpha, 1.0 / (-emin))
+        off += sd
+    return alpha
+
+
+def ref_min_cone_eig(dims, v):
+    l = dims.nonneg
+    m = float(v[:l].min()) if l else np.inf
+    off = l
+    for p, sd in zip(dims.psd, dims.svec_dims):
+        m = min(m, float(np.linalg.eigvalsh(conelp.svec_unpack(v[off:off + sd], p))[0]))
+        off += sd
+    return m
+
+
+def ref_schur_blocks(A, dims):
+    blocks = []
+    off = dims.nonneg
+    for p, sd in zip(dims.psd, dims.svec_dims):
+        blocks.append(conelp.svec_unpack(A[off:off + sd, :].T, p))
+        off += sd
+    return blocks
+
+
+def interior_point(dims, rng):
+    return np.concatenate([rng.random(dims.nonneg) + 0.1] +
+                          [conelp.svec_pack(spd(p, rng)) for p in dims.psd])
+
+
+@pytest.mark.parametrize("dims", [conelp.ConeDims(4, (3, 5)), conelp.ConeDims(0, (5, 3)),
+                                  conelp.ConeDims(6)], ids=["lp+3+5", "5+3", "lp"])
+def test_block_walker_matches_per_block_loops(dims):
+    rng = np.random.default_rng(21)
+    x, s = interior_point(dims, rng), interior_point(dims, rng)
+    sc = conelp._Scaling(dims, x, s)
+    for got, ref in zip((sc.R, sc.Rinv, sc.d), ref_scaling(dims, x, s)):
+        assert len(got) == len(ref) == len(dims.psd)
+        assert all(same_bytes(a, b) for a, b in zip(got, ref))
+    directions = [rng.standard_normal(dims.total) for _ in range(4)] + [x, s]
+    for u, v in zip(directions, directions[1:]):
+        assert same_bytes(sc.scale_x(u), ref_scale_x(sc, u))
+        assert same_bytes(sc.scale_s(u), ref_scale_s(sc, u))
+        assert same_bytes(sc.unscale_x(u), ref_unscale_x(sc, u))
+        assert same_bytes(sc.apply_w2(u), ref_apply_w2(sc, u))
+        assert same_bytes(sc.solve_jordan(u), ref_solve_jordan(sc, u))
+        assert same_bytes(sc.jordan_product(u, v), ref_jordan_product(sc, u, v))
+        for dbar in (u, sc.scale_x(u), sc.scale_s(u)):
+            alpha = sc.step_to_boundary(dbar)
+            assert type(alpha) is type(ref_step_to_boundary(sc, dbar))
+            assert np.float64(alpha).tobytes() == np.float64(ref_step_to_boundary(sc, dbar)).tobytes()
+        assert conelp._min_cone_eig(dims, u) == ref_min_cone_eig(dims, u)
+    # a direction into the cone never reaches its boundary
+    assert sc.step_to_boundary(sc.scale_x(x)) == ref_step_to_boundary(sc, sc.scale_x(x)) == np.inf
+    A = rng.standard_normal((dims.total, 7))
+    schur = conelp._Schur(A, dims)
+    assert all(same_bytes(a, b) for a, b in zip(schur.blocks, ref_schur_blocks(A, dims)))
+    assert len(schur.blocks) == len(dims.psd)

@@ -109,24 +109,50 @@ class TestFloatBasis:
     @pytest.mark.parametrize("pid", ["const1", "t2", "t7", "t15"])
     def test_bytes_match_per_entry_conversion(self, pid):
         """The float nullspace basis equals the exact basis floated entry by
-        entry, bit for bit (no negative zeros), in natural and priority order."""
+        entry, bit for bit (no negative zeros), in natural and priority order;
+        each exact basis column lies in the nullspace, and the particular
+        solution solves the system."""
         pattern = bundled_pattern(pid)
         n = len(list(index_pairs(pattern.t)))
         for E, rhs in _equality_systems(pair_table(pattern)):
+            columns = [[(i, E.entry(i, j)) for i in range(E.rows) if E.entry(i, j)]
+                       for j in range(n)]
+
+            def apply(v):  # E v, exactly, over v's nonzero entries
+                out = [Fraction(0)] * E.rows
+                for j, vj in enumerate(v):
+                    if vj:
+                        for i, a in columns[j]:
+                            out[i] += a * vj
+                return out
+
             for priority in (None, np.arange(n) % 5):
                 sp = _affine_space(E, rhs, priority)
-                R, order = sp.reduced, sp._order
+                assert sorted(sp.pivots + sp.free) == list(range(n))
+                assert all(len(row) == len(sp.free) for row in sp.coef)
+                assert apply(sp.particular) == list(rhs)
                 exact = []
-                for f in sp._free_sorted:
+                for k, f in enumerate(sp.free):
                     v = [Fraction(0)] * n
-                    v[order[f]] = Fraction(1)
-                    for r, c in enumerate(sp._piv_sorted):
-                        v[order[c]] = -R.entry(r, f)
+                    v[f] = Fraction(1)
+                    for c, row in zip(sp.pivots, sp.coef):
+                        v[c] = -row[k]
+                    assert apply(v) == [0] * E.rows
                     exact.append(v)
                 ref = np.array([[float(v) for v in col] for col in exact]).T
                 assert sp.float_basis().tobytes() == ref.tobytes()
                 assert sp.float_basis().shape == (n, len(sp.free))
                 assert not np.signbit(sp.float_basis()[sp.float_basis() == 0]).any()
+
+    def test_solve_fills_the_pivots_exactly(self):
+        pattern = bundled_pattern("t3")
+        (E, rhs), _ = _equality_systems(pair_table(pattern))
+        sp = _affine_space(E, rhs, np.arange(E.cols) % 7)
+        values = [Fraction(k % 5, 3) for k in range(len(sp.free))]
+        x = sp.solve(values)
+        assert [x[f] for f in sp.free] == values
+        lhs = [sum(E.entry(i, j) * x[j] for j in range(E.cols)) for i in range(E.rows)]
+        assert lhs == list(rhs)
 
 
 # The search side's hand-written copies of the pair structure, as they were
