@@ -16,7 +16,7 @@ Delta = Fraction(1, 1000)
 
 approx = solve_approx(pattern, float(Delta))
 print("numerical stage:")
-print(f"  solver status     : {approx.solver_status}")
+print(f"  solver status     : {approx.solver['status']}")
 print(f"  iterations run    : {approx.solver['iterations']} "
       f"(returned point from iteration {approx.solver['snapshot_iteration']})")
 print("  (boundary solutions are expected: exact certificates are PSD-singular)")

@@ -2,20 +2,14 @@
 
 from .exact_linalg import (
     RatMatrix,
-    Rational,
     PsdVerdict,
-    InRangeFailure,
-    psd_check,
     rat_from_decimal,
     rat_to_str,
     rref,
-    solve_exact,
 )
 from .pep_builder import (
     STAR,
     StepsizePattern,
-    assemble_Z,
-    build_basis,
     build_pep_data,
 )
 from .certificate import (

@@ -18,7 +18,6 @@ from typing import Sequence
 from .exact_linalg import (PsdVerdict, RatMatrix, RationalParseError, SchurElimination,
                            rat_from_decimal, rat_to_str)
 from .pep_builder import (
-    STAR,
     PepOperator,
     StepsizePattern,
     bordered,
@@ -183,10 +182,6 @@ class MembershipReport:
         return [k for k, v in self.condition_flags().items() if not v]
 
 
-def _label(idx) -> str:
-    return "*" if idx == STAR else str(idx)
-
-
 def delta_cap(pattern: StepsizePattern) -> Fraction:
     """Largest Delta the verifier accepts: the fixed multiplier on the initial
     gap, 1 - 2 sum(h) delta, must stay nonnegative on [0, Delta]."""
@@ -220,7 +215,7 @@ def _equality_verdict(lhs: Sequence[Fraction], rhs: Sequence[Fraction]) -> Equal
 
 
 def _nonneg_verdict(mat: RatMatrix, t: int) -> NonnegVerdict:
-    labels = [_label(i) for i in index_set(t)]
+    labels = [str(i) for i in index_set(t)]
     bad = tuple((labels[p], labels[q], v) for p in range(t + 2)
                 for q, v in enumerate(mat.row(p)) if v < 0 and p != q)
     return NonnegVerdict(not bad, bad)

@@ -18,7 +18,6 @@ from . import bundled
 from .certificate import (
     Certificate,
     CertificateError,
-    _label,
     check_membership,
     check_pointwise,
     guarantee_of,
@@ -255,7 +254,7 @@ def cmd_dump_pep(args) -> CommandOutcome:
            "pairs": {}}
     for i, j in index_pairs(pattern.t):
         pd = data.pair(i, j)
-        obj["pairs"][f"{_label(i)},{_label(j)}"] = {
+        obj["pairs"][f"{i},{j}"] = {
             "A": [[rat_to_str(v) for v in pd.A.row(r)] for r in range(pd.A.rows)],
             "B": [[rat_to_str(v) for v in pd.B.row(r)] for r in range(pd.B.rows)],
             "C": [[rat_to_str(v) for v in pd.C.row(r)] for r in range(pd.C.rows)],
@@ -296,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--delta", required=True, help="gap cap, e.g. 0.001")
     g.add_argument("--out", help="write the verified certificate here")
     g.add_argument("--denom-bits", type=int, default=None,
-                   help="fix the rounding denominator (default: 53, 80, 128 ladder)")
+                   help="fix the rounding denominator bits (default: try 53, then 80)")
     g.add_argument("--max-iters", type=int, default=200)
     g.add_argument("--tol", type=float, default=1e-8)
     g.add_argument("--verbose", action="store_true")

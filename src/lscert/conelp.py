@@ -120,10 +120,6 @@ class ConicResult:
     jitter_retries: int = 0
     lstsq_fallbacks: int = 0
 
-    @property
-    def converged(self) -> bool:
-        return self.status == "optimal"
-
     def summary(self) -> dict[str, str | int]:
         """How the solve ended, as plain values for reports and errors."""
         return {"status": self.status, "iterations": self.iterations,

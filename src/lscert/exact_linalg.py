@@ -12,8 +12,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-Rational = Fraction
-
 _DECIMAL_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?$")
 _FRACTION_RE = re.compile(r"^[+-]?[0-9]+/[0-9]+$")
 
@@ -105,21 +103,11 @@ class RatMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self._e[i * self.cols + j]
 
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self._e[i * self.cols + j]
-
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self._e[i * self.cols : (i + 1) * self.cols]
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols, self.rows,
-            [self._e[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
@@ -134,28 +122,9 @@ class RatMatrix:
         self._check_same_shape(other)
         return RatMatrix(self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)])
 
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_same_shape(other)
-        return RatMatrix(self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)])
-
     def scale(self, c) -> "RatMatrix":
         c = _as_fraction(c)
         return RatMatrix(self.rows, self.cols, [c * a for a in self._e])
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = [Fraction(0)] * (self.rows * other.cols)
-        for i in range(self.rows):
-            ri = self.row(i)
-            for k, a in enumerate(ri):
-                if a:
-                    ok = other.row(k)
-                    base = i * other.cols
-                    for j, b in enumerate(ok):
-                        if b:
-                            out[base + j] += a * b
-        return RatMatrix(self.rows, other.cols, out)
 
     def matvec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
@@ -206,33 +175,6 @@ def quad_form(M: RatMatrix, v: Sequence[Fraction]) -> Fraction:
 
 
 @dataclass(frozen=True)
-class LdlFactorization:
-    """M = P L D L' P' with unit lower-triangular L and entrywise nonnegative D.
-
-    ``perm[k]`` is the original index placed at pivot position k.
-    """
-    perm: tuple[int, ...]
-    lower: RatMatrix
-    diag: tuple[Fraction, ...]
-
-    def recompose(self) -> RatMatrix:
-        n = len(self.perm)
-        L = self.lower
-        core = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                core[i][j] = sum(
-                    (L.entry(i, k) * self.diag[k] * L.entry(j, k) for k in range(min(i, j) + 1)),
-                    Fraction(0),
-                )
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                out[self.perm[i]][self.perm[j]] = core[i][j]
-        return RatMatrix.from_rows(out)
-
-
-@dataclass(frozen=True)
 class NegativeWitness:
     vector: tuple[Fraction, ...]
     value: Fraction  # v' M v, exactly negative
@@ -241,7 +183,6 @@ class NegativeWitness:
 @dataclass(frozen=True)
 class PsdVerdict:
     is_psd: bool
-    factorization: LdlFactorization | None = None
     witness: NegativeWitness | None = None
 
 
@@ -251,8 +192,7 @@ def psd_check(M: RatMatrix) -> PsdVerdict:
     Symmetric Gaussian elimination with diagonal pivoting on the largest
     remaining diagonal entry. A negative diagonal entry, or a nonzero row
     whose diagonal has reached zero, produces an explicit direction v with
-    v' M v < 0; otherwise the accumulated P L D L' P' factorization
-    certifies PSD.
+    v' M v < 0; otherwise elimination ends on an all-zero block and M is PSD.
     """
     if M.rows != M.cols:
         raise ValueError(f"psd_check needs a square matrix, got {M.rows}x{M.cols}")
@@ -261,8 +201,7 @@ def psd_check(M: RatMatrix) -> PsdVerdict:
     n = M.rows
     S = [list(M.row(i)) for i in range(n)]  # mutated in place under permutation
     perm = list(range(n))
-    L = [[Fraction(0)] * n for _ in range(n)]
-    diag: list[Fraction] = []
+    L = [[Fraction(0)] * n for _ in range(n)]  # unit lower factor, below the diagonal
 
     def swap(a: int, b: int) -> None:
         if a == b:
@@ -294,8 +233,6 @@ def psd_check(M: RatMatrix) -> PsdVerdict:
         if S[p][p] > 0:
             swap(k, p)
             d = S[k][k]
-            diag.append(d)
-            L[k][k] = Fraction(1)
             col = [S[i][k] for i in range(n)]
             for i in range(k + 1, n):
                 L[i][k] = col[i] / d
@@ -320,14 +257,8 @@ def psd_check(M: RatMatrix) -> PsdVerdict:
                 if S[i][j]:
                     sgn = Fraction(1) if S[i][j] > 0 else Fraction(-1)
                     return PsdVerdict(False, witness=lift_witness(k, {i: Fraction(1), j: -sgn}))
-        # Remaining block is identically zero: finish the factorization.
-        for i in range(k, n):
-            L[i][i] = Fraction(1)
-            diag.append(Fraction(0))
-        break
-
-    fact = LdlFactorization(tuple(perm), RatMatrix.from_rows(L), tuple(diag))
-    return PsdVerdict(True, factorization=fact)
+        break  # the remaining block is identically zero
+    return PsdVerdict(True)
 
 
 @dataclass(frozen=True)

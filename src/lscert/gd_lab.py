@@ -208,15 +208,6 @@ def emit_csv(record: TrajectoryRecord, path: str | Path) -> Path:
     return path
 
 
-def read_csv_gaps(path: str | Path) -> np.ndarray:
-    with Path(path).open() as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["iter", "gap"]:
-            raise ValueError(f"unexpected CSV header {header}")
-        return np.array([float(row[1]) for row in reader])
-
-
 def is_monotone_decreasing(gaps: Sequence[float], tol: float = 0.0) -> bool:
     arr = np.asarray(gaps, dtype=float)
     return bool(np.all(arr[1:] <= arr[:-1] + tol))

@@ -25,7 +25,6 @@ from .exact_linalg import (
 )
 
 STAR = "*"
-Index = object  # STAR or int
 
 
 @dataclass(frozen=True)

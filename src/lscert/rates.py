@@ -6,9 +6,11 @@ sublinear phase where the gap is at most L D^2 / ((avg(h) - eps)(T - s_bar t)
 + 1/Delta). Growth-bound variants sharpen the sublinear phase.
 
 s_bar is the number of pattern applications needed to drive the gap below
-L D^2 Delta. It is computed exactly: a float guess is confirmed with directed
-fixed-point interval powers (outward rounding, exact rational fallback), so
-the reported bound is never tighter than the theory allows.
+L D^2 Delta. It is computed exactly: s doubles until the s-th power of the
+contraction factor reaches that level, then a bisection finds the smallest
+such s. Each comparison uses directed fixed-point interval powers (outward
+rounding, exact rational fallback), so the reported bound is never tighter
+than the theory allows.
 """
 from __future__ import annotations
 

@@ -239,7 +239,6 @@ class FloatCertificate:
     lam: np.ndarray
     gam: np.ndarray
     residuals: dict[str, float] = field(default_factory=dict)
-    solver_status: str = ""
     solver: dict = field(default_factory=dict)     # ConicResult.summary()
 
     def __post_init__(self):
@@ -363,12 +362,10 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
         Delta=Df,
         lam=np.array(_pair_rows(table, lam_vec, 0.0)),
         gam=np.array(_pair_rows(table, gam_vec, 0.0)),
-        solver_status=res.status,
         solver=res.summary(),
     )
     viol = fc.worst_violation()
-    min_eig = min(fc.residuals["min_eig_psd_at_zero"], fc.residuals["min_eig_psd_at_delta"])
-    if viol > opts.tol or min_eig < -opts.tol:
+    if not viol <= opts.tol:  # a NaN residual fails too
         raise NotFound(
             f"no approximate certificate for h=({pattern.as_text()}) at "
             f"Delta={Df:g}: worst violation {viol:.3e} "
@@ -454,7 +451,7 @@ def round_to_exact(approx: FloatCertificate, denom_bits: int = 53,
                        RatMatrix.from_rows(_pair_rows(table, gam_vec, Fraction(0))))
 
 
-DENOM_BITS_LADDER = (53, 80, 128)
+DENOM_BITS_LADDER = (53, 80)
 
 
 def _tidy_eps_ceiling(em: Fraction) -> Fraction:

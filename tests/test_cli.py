@@ -224,6 +224,13 @@ class TestGenerate:
         assert solver["status"] == "stalled"
         assert solver["iterations"] > solver["snapshot_iteration"]
 
+    def test_rounding_failure_exits_1(self, capsys):
+        # at 4 bits the rounded border leaves the trailing block's range
+        code, out, err = run(capsys, "generate", "--pattern", "2.9,1.5", "--delta", "0.001",
+                             "--denom-bits", "4")
+        assert code == EXIT_FALSE and not out
+        assert err.startswith("rounding failed: rounded pair admits no finite epsilon")
+
     def test_delta_past_cap_exits_2(self, capsys):
         # 1/(2 sum h) = 5/44 for h = (2.9, 1.5); 10^-18 past it is refused
         # exactly, before any search (its float passes the float check)

@@ -230,7 +230,7 @@ def test_primal_solve_ends_optimal(monkeypatch):
 
 def test_float_certificate_carries_the_solver_summary():
     fc = sdp_search.solve_approx(StepsizePattern((F(1),)), 0.01)
-    assert fc.solver_status == fc.solver["status"] == "optimal"
+    assert fc.solver["status"] == "optimal"
     assert fc.solver["iterations"] == fc.solver["snapshot_iteration"] > 0
 
 

@@ -117,7 +117,8 @@ class TestPepData:
         n = 4
         H = [[F(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(n)]
         Hm = RatMatrix.from_rows(H)
-        G = Hm.transpose() @ Hm
+        G = RatMatrix.from_rows([[sum((H[k][r] * H[k][c] for k in range(n)), F(0))
+                                  for c in range(n)] for r in range(n)])
         for i, j in index_pairs(2):
             dx = tuple(p - q for p, q in zip(b.x[i], b.x[j]))
             img = Hm.matvec(dx)

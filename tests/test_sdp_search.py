@@ -19,6 +19,7 @@ from lscert.sdp_search import (
     _pair_block_maps,
     FloatCertificate,
     NotFound,
+    RoundingFailure,
     SolveOptions as SearchOptions,
     evaluate_primal,
     generate,
@@ -35,7 +36,7 @@ class TestConicSolver:
         # max y s.t. y <= 3, y <= 5
         A = np.array([[1.0], [1.0]])
         r = solve_conic(A, np.array([1.0]), np.array([3.0, 5.0]), ConeDims(2))
-        assert r.converged
+        assert r.status == "optimal"
         assert r.objective == pytest.approx(3.0, abs=1e-6)
 
     def test_sdp(self):
@@ -43,7 +44,7 @@ class TestConicSolver:
         c = svec_pack(np.eye(2))
         A = -svec_pack(np.array([[0.0, 1.0], [1.0, 0.0]])).reshape(3, 1)
         r = solve_conic(A, np.array([1.0]), c, ConeDims(0, (2,)))
-        assert r.converged
+        assert r.status == "optimal"
         assert r.objective == pytest.approx(1.0, abs=1e-6)
 
     def test_mixed(self):
@@ -57,7 +58,7 @@ class TestConicSolver:
         c[1:] = svec_pack(np.array([[3.0, 1.0], [1.0, 1.0]]))
         A[1:, 1] = svec_pack(E11)
         r = solve_conic(A, np.ones(2), c, ConeDims(1, (2,)))
-        assert r.converged
+        assert r.status == "optimal"
         assert r.objective == pytest.approx(4.0, abs=1e-6)
 
     def test_svec_round_trip(self):
@@ -87,6 +88,19 @@ class TestSolveApprox:
             solve_approx(StepsizePattern.from_text("10,10"), 1e-3)
         assert "not a proof of emptiness" in str(ei.value)
         assert ei.value.residuals  # best residuals are reported
+
+    def test_non_finite_point_is_not_found(self, monkeypatch):
+        # a NaN multiplier makes the worst violation NaN, which must not pass
+        real = sdp_search.solve_conic
+
+        def nan_point(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.y = np.full_like(res.y, np.nan)
+            return res
+
+        monkeypatch.setattr(sdp_search, "solve_conic", nan_point)
+        with pytest.raises(NotFound, match="worst violation nan"):
+            solve_approx(StepsizePattern((F(1),)), 0.01)
 
     def test_deterministic_bytes(self):
         h = StepsizePattern.from_text("2.9,1.5")
@@ -249,6 +263,19 @@ class TestPairTableViews:
         assert gam_sys == _ref_gamma_equality_system(pattern)
 
 
+def _count_affine_spaces(monkeypatch) -> list:
+    """Record each row reduction that rounding runs, one per pivot choice."""
+    calls = []
+    real = sdp_search._affine_space
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sdp_search, "_affine_space", counted)
+    return calls
+
+
 class TestRounding:
     def test_fixed_point_on_exact_dyadic_input(self):
         # the alternating family at eta = 1 is dyadic-valued and exactly feasible
@@ -267,6 +294,34 @@ class TestRounding:
         approx = solve_approx(StepsizePattern((F(1),)), 0.01)
         with pytest.raises(PreconditionError, match=f"denom_bits={bits}"):
             round_to_exact(approx, bits, exact_delta=F(1, 100))
+
+    def test_negative_pivot_is_demoted(self, monkeypatch):
+        # at 10 bits one lambda pivot of this point solves negative: it is
+        # demoted to a free coordinate and the system re-pivoted once, so
+        # rounding runs 3 row reductions instead of 2
+        approx = solve_approx(StepsizePattern.from_text("1.5,4.9,1.5"), 1e-4)
+        calls = _count_affine_spaces(monkeypatch)
+        cert = round_to_exact(approx, 10, exact_delta=F(1, 10 ** 4))
+        assert len(calls) == 3
+        eps_min = sdp_search._eps_min(cert)
+        assert float(eps_min) == pytest.approx(2.45e-2, rel=1e-2)
+        assert check_membership(cert.with_epsilon(eps_min)).overall
+
+    def test_repivots_give_up_after_eight(self, monkeypatch):
+        # at 128 bits the snap threshold 2^-64 is below the solver's noise: a
+        # boundary lambda entry stays negative whichever pivots are chosen
+        approx = solve_approx(StepsizePattern.from_text("2.9,1.5"), 1e-3)
+        calls = _count_affine_spaces(monkeypatch)
+        with pytest.raises(RoundingFailure, match="re-pivoting left 1 negative lambda entries"):
+            round_to_exact(approx, 128, exact_delta=F(1, 1000))
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("em,tidy", [
+        (F(-1, 3), F(0)), (F(0), F(0)), (F(3, 10 ** 5), F(3, 10 ** 5)),
+        (F(31, 10 ** 6), F(4, 10 ** 5)), (F(1), F(1)), (F(23, 10), F(3)), (F(250), F(300)),
+    ])
+    def test_tidy_eps_ceiling(self, em, tidy):
+        assert sdp_search._tidy_eps_ceiling(em) == tidy
 
     def test_free_entries_are_dyadic(self):
         h = StepsizePattern.from_text("2.9,1.5")
@@ -326,6 +381,31 @@ class TestGenerate:
         assert len(calls) == 2
         fresh = Certificate(cert.pattern, cert.Delta, cert.epsilon, cert.lam, cert.gam)
         assert report == check_membership(fresh)
+
+    def test_falls_through_to_the_next_rung(self, monkeypatch):
+        # the 4-bit rung admits no finite epsilon, so the 53-bit rung decides
+        rungs = []
+        real = sdp_search.round_to_exact
+
+        def spy(approx, denom_bits, exact_delta=None):
+            rungs.append(denom_bits)
+            return real(approx, denom_bits, exact_delta=exact_delta)
+
+        h = StepsizePattern.from_text("2.9,1.5")
+        at_53, _, _ = generate(h, F(1, 1000), denom_bits=53)
+        monkeypatch.setattr(sdp_search, "DENOM_BITS_LADDER", (4, 53))
+        monkeypatch.setattr(sdp_search, "round_to_exact", spy)
+        cert, report, _ = generate(h, F(1, 1000))
+        assert rungs == [4, 53]
+        assert report.overall and cert == at_53
+
+    @pytest.mark.parametrize("bits,message", [
+        (4, "rounded pair admits no finite epsilon"),
+        (128, "re-pivoting left 1 negative lambda entries"),
+    ])
+    def test_last_rung_failure_raises(self, bits, message):
+        with pytest.raises(RoundingFailure, match=message):
+            generate(StepsizePattern.from_text("2.9,1.5"), F(1, 1000), denom_bits=bits)
 
     @pytest.mark.parametrize("bits", [0, -5])
     def test_denom_bits_below_one_refused_before_the_solve(self, monkeypatch, bits):
