@@ -1,5 +1,12 @@
 """Certificates, rate guarantees, and experiments for long-step gradient descent."""
 
+import os
+
+# Generated certificates depend on the BLAS thread count, so pin one OpenBLAS
+# thread unless the environment sets a count. This takes effect only if numpy
+# has not been imported yet, which holds for the lscert script.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .exact_linalg import (
     RatMatrix,
     PsdVerdict,
@@ -7,11 +14,7 @@ from .exact_linalg import (
     rat_to_str,
     rref,
 )
-from .pep_builder import (
-    STAR,
-    StepsizePattern,
-    build_pep_data,
-)
+from .pep_builder import STAR, StepsizePattern
 from .certificate import (
     Certificate,
     GuaranteeStatement,

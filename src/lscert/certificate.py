@@ -20,7 +20,6 @@ from .exact_linalg import (PsdVerdict, RatMatrix, RationalParseError, SchurElimi
 from .pep_builder import (
     PepOperator,
     StepsizePattern,
-    bordered,
     index_set,
     m_vec,
     M_mat,
@@ -219,13 +218,6 @@ def _nonneg_verdict(mat: RatMatrix, t: int) -> NonnegVerdict:
     bad = tuple((labels[p], labels[q], v) for p in range(t + 2)
                 for q, v in enumerate(mat.row(p)) if v < 0 and p != q)
     return NonnegVerdict(not bad, bad)
-
-
-def psd_blocks(cert: Certificate) -> tuple[RatMatrix, RatMatrix]:
-    """The two bordered matrices whose positive semidefiniteness is required."""
-    op = cert.operator
-    return (bordered(cert.corner, op.m_gam, op.M_lam),
-            bordered(cert.corner, op.m_gam, op.M_lam + op.M_gam.scale(cert.Delta)))
 
 
 def _linear_verdicts(cert: Certificate) -> dict:

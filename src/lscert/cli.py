@@ -27,11 +27,11 @@ from .certificate import (
 )
 from .exact_linalg import RationalParseError, rat_from_decimal, rat_to_str
 from .gd_lab import emit_csv, gen_least_squares, run_gd
-from .pep_builder import StepsizePattern, build_pep_data, index_pairs
+from .pep_builder import StepsizePattern, index_pairs, pair_table
 from .rates import ProblemScale, UnsupportedRegimeError, bound_at, rate_guarantee
 from .sdp_search import NotFound, RoundingFailure, SolveOptions, generate
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXIT_OK, EXIT_FALSE, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
@@ -248,17 +248,21 @@ def cmd_simulate(args) -> CommandOutcome:
 # --- dump-pep -------------------------------------------------------------------
 
 def cmd_dump_pep(args) -> CommandOutcome:
+    """Each pair's multiplier position, its a and the nonzero entries of
+    A + C/2, as [row, col, value] in the (*, 0..t) order, from the pair table."""
     _, pattern = _resolve_pattern(args)
-    data = build_pep_data(pattern)
-    obj = {"schema_version": SCHEMA_VERSION, "t": pattern.t, "h": pattern.as_text().split(","),
+    t = pattern.t
+    obj = {"schema_version": SCHEMA_VERSION, "t": t, "h": pattern.as_text().split(","),
            "pairs": {}}
-    for i, j in index_pairs(pattern.t):
-        pd = data.pair(i, j)
+    for (i, j), p in zip(index_pairs(t), pair_table(pattern).pairs):
+        a = [0] * (t + 1)
+        for k, s in p.balance:
+            a[k] += s
         obj["pairs"][f"{i},{j}"] = {
-            "A": [[rat_to_str(v) for v in pd.A.row(r)] for r in range(pd.A.rows)],
-            "B": [[rat_to_str(v) for v in pd.B.row(r)] for r in range(pd.B.rows)],
-            "C": [[rat_to_str(v) for v in pd.C.row(r)] for r in range(pd.C.rows)],
-            "a": [rat_to_str(v) for v in pd.a],
+            "pos": list(p.pos),
+            "a": [str(v) for v in a],
+            "A_plus_half_C": [[r, c, rat_to_str(v)]
+                              for (r, c), v in sorted(p.entries().items()) if v],
         }
     text = json.dumps(obj, indent=1)
     if args.out:
@@ -324,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_simulate)
 
-    d = sub.add_parser("dump-pep", help="dump the exact PEP matrices as JSON")
+    d = sub.add_parser("dump-pep", help="dump the exact PEP pair table as JSON")
     d.add_argument("--pattern", help='comma-separated stepsizes')
     d.add_argument("--pattern-id", help="bundled pattern id")
     d.add_argument("--out", help="output path (default: stdout)")

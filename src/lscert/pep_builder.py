@@ -7,7 +7,11 @@ that order, so a multiplier on the pair (0,1) sits at matrix position
 (1, 2) counting from zero.
 
 Basis coordinates (dimension t+2): coordinate 0 carries the initial point,
-coordinate i+1 carries the gradient at step i.
+coordinate i+1 carries the gradient at step i. The interpolation inequality
+of the pair (i, j) reads F a_{i,j} + Tr(G (A_{i,j} + C_{i,j}/2)) <= 0, with
+A_{i,j} = g_j (.) (x_i - x_j), C_{i,j} = (g_i - g_j)(g_i - g_j)' and
+a_{i,j} = f_j - f_i. ``pair_table`` is the one explicit form of these terms;
+``M_mat``, ``m_vec`` and ``sum_a`` are their multiplier sums in closed form.
 """
 from __future__ import annotations
 
@@ -80,93 +84,6 @@ def mat_pos(idx, t: int) -> int:
     if not (0 <= idx <= t):
         raise ValueError(f"index {idx} outside 0..{t}")
     return idx + 1
-
-
-@dataclass(frozen=True)
-class PepBasis:
-    t: int
-    g: dict
-    x: dict
-    f: dict
-
-
-def build_basis(h: StepsizePattern) -> PepBasis:
-    """Coordinate vectors for gradients, iterates and objective values.
-
-    x_i = x_0 - sum_{j<i} h_j g_j with L = 1; the starred entries are zero.
-    """
-    t = h.t
-    dim = t + 2
-    zero = tuple(Fraction(0) for _ in range(dim))
-    g = {STAR: zero}
-    for i in range(t + 1):
-        v = [Fraction(0)] * dim
-        v[i + 1] = Fraction(1)
-        g[i] = tuple(v)
-    x = {STAR: zero}
-    cur = [Fraction(0)] * dim
-    cur[0] = Fraction(1)
-    x[0] = tuple(cur)
-    for i in range(1, t + 1):
-        cur[i] -= h.h[i - 1]  # coordinate i carries g_{i-1}
-        x[i] = tuple(cur)
-    fzero = tuple(Fraction(0) for _ in range(t + 1))
-    f = {STAR: fzero}
-    for i in range(t + 1):
-        v = [Fraction(0)] * (t + 1)
-        v[i] = Fraction(1)
-        f[i] = tuple(v)
-    return PepBasis(t, g, x, f)
-
-
-def sym_outer(u: Sequence[Fraction], v: Sequence[Fraction]) -> RatMatrix:
-    """u (.) v = (u v' + v u') / 2, the symmetric outer product."""
-    n = len(u)
-    if len(v) != n:
-        raise ValueError("length mismatch in symmetric outer product")
-    half = Fraction(1, 2)
-    ent = [half * (u[i] * v[j] + v[i] * u[j]) for i in range(n) for j in range(n)]
-    return RatMatrix(n, n, ent)
-
-
-@dataclass(frozen=True)
-class PairData:
-    A: RatMatrix
-    B: RatMatrix
-    C: RatMatrix
-    a: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class PepData:
-    pattern: StepsizePattern
-    basis: PepBasis
-    pairs: dict
-
-    def pair(self, i, j) -> PairData:
-        return self.pairs[(i, j)]
-
-
-def pair_data(basis: PepBasis, i, j) -> PairData:
-    """A_{i,j} = g_j (.) (x_i - x_j), B and C the squared versions, a_{i,j} = f_j - f_i."""
-    dx = tuple(a - b for a, b in zip(basis.x[i], basis.x[j]))
-    dg = tuple(a - b for a, b in zip(basis.g[i], basis.g[j]))
-    return PairData(
-        A=sym_outer(basis.g[j], dx),
-        B=sym_outer(dx, dx),
-        C=sym_outer(dg, dg),
-        a=tuple(a - b for a, b in zip(basis.f[j], basis.f[i])),
-    )
-
-
-def build_pep_data(h: StepsizePattern) -> PepData:
-    """All A/B/C matrices and a vectors over ordered index pairs i != j.
-
-    The interpolation inequality for the pair (i, j) reads
-    F a_{i,j} + Tr(G A_{i,j}) + Tr(G C_{i,j})/2 <= 0.
-    """
-    basis = build_basis(h)
-    return PepData(h, basis, {(i, j): pair_data(basis, i, j) for i, j in index_pairs(h.t)})
 
 
 @dataclass(frozen=True)
@@ -301,16 +218,16 @@ class PepOperator:
 
     All three maps are linear in the multiplier, so at any gap level
     M(lambda + delta*gamma) = M(lambda) + delta*M(gamma), and likewise for m
-    and sum_a. The trailing blocks and borders are also kept as integer rows
-    over one common denominator, so that a gap level costs one integer
-    elimination and no Fraction arithmetic.
+    and sum_a. The trailing blocks and borders are kept as integer rows over
+    one common denominator, so that a gap level costs one integer elimination
+    and no Fraction arithmetic; m(lambda) and the sums, which the equality
+    conditions read, stay exact Fractions.
     """
 
     def __init__(self, M_lam: RatMatrix, M_gam: RatMatrix, m_lam: tuple[Fraction, ...],
                  m_gam: tuple[Fraction, ...], sum_lam: tuple[Fraction, ...],
                  sum_gam: tuple[Fraction, ...]):
-        self.M_lam, self.M_gam = M_lam, M_gam
-        self.m_lam, self.m_gam = m_lam, m_gam
+        self.m_lam = m_lam
         self.sum_lam, self.sum_gam = sum_lam, sum_gam
         n = M_lam.rows
         self.den, rows = integer_rows([*M_lam.to_rows(), *M_gam.to_rows(), m_lam, m_gam])

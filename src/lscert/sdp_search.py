@@ -17,7 +17,6 @@ import numpy as np
 from .certificate import (
     Certificate,
     Infeasible,
-    MAX_T,
     MembershipReport,
     PreconditionError,
     _eps_min,
@@ -38,7 +37,7 @@ from .conelp import (
 from .exact_linalg import RatMatrix, rat_to_str, rref
 from .pep_builder import PairTable, StepsizePattern, pair_table
 
-DEFAULT_GENERATION_MAX_T = 31   # longest pattern generate and evaluate_primal accept
+DEFAULT_GENERATION_MAX_T = 31   # longest pattern any float solve here accepts
 
 
 class NotFound(Exception):
@@ -258,11 +257,14 @@ class FloatCertificate:
                    -r["min_eig_psd_at_zero"], -r["min_eig_psd_at_delta"], 0.0)
 
 
-def _validate_search_inputs(pattern: StepsizePattern, Delta: Fraction | float,
-                            max_t: int) -> None:
-    if pattern.t > max_t:
-        raise PreconditionError(
-            f"pattern length {pattern.t} exceeds the supported scale (t <= {max_t})")
+def _validate_search_inputs(pattern: StepsizePattern,
+                            Delta: Fraction | float | None = None) -> None:
+    """The one scale cap of every float solve, and the gap cap when Delta is given."""
+    if pattern.t > DEFAULT_GENERATION_MAX_T:
+        raise PreconditionError(f"pattern length {pattern.t} exceeds the supported scale "
+                                f"(t <= {DEFAULT_GENERATION_MAX_T})")
+    if Delta is None:
+        return
     cap = min(0.5, 1.0 / (2.0 * float(pattern.sum_h)))
     if not (0.0 < float(Delta) < cap + 1e-15):
         raise PreconditionError(
@@ -288,7 +290,7 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
     visible in the Schur system at unit scale.
     """
     opts = opts or SolveOptions()
-    _validate_search_inputs(pattern, Delta, MAX_T)
+    _validate_search_inputs(pattern, Delta)
     t = pattern.t
     table = pair_table(pattern)
     n_pairs = len(table.pairs)
@@ -483,7 +485,7 @@ def generate(pattern: StepsizePattern, Delta: Fraction | float,
     RoundingFailure otherwise.
     """
     opts = opts or SolveOptions()
-    _validate_search_inputs(pattern, Delta, DEFAULT_GENERATION_MAX_T)
+    _validate_search_inputs(pattern, Delta)
     if denom_bits is not None:
         _check_denom_bits(denom_bits)  # refused before the solve
     Delta_exact = Delta if isinstance(Delta, Fraction) else Fraction(Delta)
@@ -527,11 +529,6 @@ class PrimalValue:
     numerical_rank: int
     status: str
 
-    @property
-    def rank_one(self) -> bool:
-        e = self.gram_eigenvalues
-        return len(e) > 0 and (len(e) == 1 or e[-2] < 1e-6 * max(e[-1], 1e-300))
-
 
 def evaluate_primal(pattern: StepsizePattern, delta: float,
                     opts: SolveOptions | None = None, *,
@@ -545,9 +542,7 @@ def evaluate_primal(pattern: StepsizePattern, delta: float,
     opts = opts or SolveOptions()
     if delta < 0:
         raise PreconditionError(f"delta={delta} must be nonnegative")
-    if pattern.t > DEFAULT_GENERATION_MAX_T:
-        raise PreconditionError(
-            f"primal evaluation is desk scale (t <= {DEFAULT_GENERATION_MAX_T})")
+    _validate_search_inputs(pattern)
     t = pattern.t
     table = pair_table(pattern)
     n_pairs = len(table.pairs)

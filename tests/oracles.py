@@ -1,0 +1,110 @@
+"""The performance-estimation problem written out densely, as in the paper.
+
+Per ordered pair (i, j) of (*, 0, ..., t): A = g_j (.) (x_i - x_j),
+B = (x_i - x_j) (.) (x_i - x_j), C = (g_i - g_j) (.) (g_i - g_j) and
+a = f_j - f_i, over the basis whose coordinate 0 carries x_0 and whose
+coordinate i+1 carries g_i (L = 1). This costs O(t^4) for all pairs; the
+tests use it as the definition that pep_builder's pair table and closed
+forms must reproduce.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+from typing import Sequence
+
+from lscert.certificate import Certificate
+from lscert.exact_linalg import RatMatrix
+from lscert.pep_builder import STAR, StepsizePattern, bordered, index_pairs, mat_pos
+
+
+def basis(h: StepsizePattern) -> tuple[dict, dict, dict]:
+    """Coordinate vectors (g, x, f) of the gradients, iterates and objective
+    values; x_i = x_0 - sum_{k<i} h_k g_k, and every starred vector is zero."""
+    t = h.t
+    dim = t + 2
+    g = {STAR: (Fraction(0),) * dim}
+    x = {STAR: (Fraction(0),) * dim}
+    f = {STAR: (Fraction(0),) * (t + 1)}
+    cur = [Fraction(0)] * dim
+    cur[0] = Fraction(1)
+    for i in range(t + 1):
+        if i:
+            cur[i] -= h.h[i - 1]  # coordinate i carries g_{i-1}
+        x[i] = tuple(cur)
+        g[i] = tuple(Fraction(int(k == i + 1)) for k in range(dim))
+        f[i] = tuple(Fraction(int(k == i)) for k in range(t + 1))
+    return g, x, f
+
+
+def sym_outer(u: Sequence[Fraction], v: Sequence[Fraction]) -> RatMatrix:
+    """u (.) v = (u v' + v u') / 2, adding up the products of nonzero entries."""
+    n = len(u)
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for r, ur in enumerate(u):
+        for c, vc in enumerate(v):
+            if ur and vc:
+                out[r][c] += ur * vc / 2
+                out[c][r] += ur * vc / 2
+    return RatMatrix.from_rows(out)
+
+
+def pair_matrices(vectors: tuple[dict, dict, dict], i, j) -> dict:
+    """A, B, C and a of the pair (i, j), keyed by name."""
+    g, x, f = vectors
+    dx = tuple(p - q for p, q in zip(x[i], x[j]))
+    dg = tuple(p - q for p, q in zip(g[i], g[j]))
+    return {"A": sym_outer(g[j], dx), "B": sym_outer(dx, dx), "C": sym_outer(dg, dg),
+            "a": tuple(p - q for p, q in zip(f[j], f[i]))}
+
+
+def pep_matrices(h: StepsizePattern) -> dict:
+    """pair_matrices of every ordered pair, keyed by (i, j)."""
+    vectors = basis(h)
+    return {(i, j): pair_matrices(vectors, i, j) for i, j in index_pairs(h.t)}
+
+
+def interpolation_matrix(pm: dict) -> RatMatrix:
+    """A + C/2: the Gram part of one pair's interpolation inequality."""
+    return pm["A"] + pm["C"].scale(Fraction(1, 2))
+
+
+@lru_cache(maxsize=None)
+def _nonzero_terms(h: StepsizePattern) -> tuple:
+    """Per pair: its multiplier position and the nonzero entries of A + C/2."""
+    out = []
+    for (i, j), pm in pep_matrices(h).items():
+        K = interpolation_matrix(pm)
+        out.append(((mat_pos(i, h.t), mat_pos(j, h.t)),
+                     [(r, s, v) for r in range(K.rows) for s, v in enumerate(K.row(r)) if v]))
+    return tuple(out)
+
+
+def dense_slack(h: StepsizePattern, arg: RatMatrix) -> RatMatrix:
+    """sum_{i != j} arg_{i,j} (A_{i,j} + C_{i,j}/2)."""
+    n = h.t + 2
+    Z = [[Fraction(0)] * n for _ in range(n)]
+    for pos, terms in _nonzero_terms(h):
+        c = arg.entry(*pos)
+        if c:
+            for r, s, v in terms:
+                Z[r][s] += c * v
+    return RatMatrix.from_rows(Z)
+
+
+def psd_blocks(cert: Certificate) -> tuple[RatMatrix, RatMatrix]:
+    """The two bordered membership blocks, [[corner, m(gamma)'], [m(gamma), M]]
+    with M the trailing block of the dense slack of lambda and of
+    lambda + Delta*gamma, built from the dense pair matrices."""
+    h = cert.pattern
+    n = h.t + 1
+    S_lam = dense_slack(h, cert.lam)
+    S_gam = dense_slack(h, cert.gam)
+
+    def trailing(S: RatMatrix) -> RatMatrix:
+        return RatMatrix.from_rows([S.row(r)[1:] for r in range(1, n + 1)])
+
+    m_gam = S_gam.row(0)[1:]
+    M_lam = trailing(S_lam)
+    return (bordered(cert.corner, m_gam, M_lam),
+            bordered(cert.corner, m_gam, M_lam + trailing(S_gam).scale(cert.Delta)))

@@ -28,7 +28,7 @@ from lscert.pep_builder import StepsizePattern
 from lscert.rates import ProblemScale, bound_at, rate_guarantee
 from lscert.sdp_search import evaluate_primal, generate
 from lscert.two_step import bisect_dyadic_delta, two_step_certificate
-from lscert.certificate import psd_blocks
+from oracles import psd_blocks
 
 F = Fraction
 ETAS = (F(1, 2), F(1), F(2))

@@ -19,7 +19,7 @@ from lscert.certificate import (
     minimal_epsilon,
     save_certificate,
 )
-from lscert.certificate import psd_blocks
+from oracles import psd_blocks
 from lscert.exact_linalg import (
     InRangeFailure,
     RatMatrix,
@@ -28,7 +28,7 @@ from lscert.exact_linalg import (
     quad_form,
     solve_exact,
 )
-from lscert.pep_builder import StepsizePattern, M_mat, assemble_Z, m_vec, sum_a
+from lscert.pep_builder import StepsizePattern, M_mat, assemble_Z, bordered, m_vec, sum_a
 from lscert.two_step import two_step_certificate
 
 F = Fraction
@@ -234,6 +234,15 @@ class TestAgreesWithFractionKernels:
                 if not cond.is_psd:
                     w = cond.witness
                     assert quad_form(X, w.vector) == w.value < 0
+
+    def test_dense_blocks_match_the_closed_forms(self, certs):
+        # the oracle's blocks, summed from dense pair matrices, against M_mat and m_vec
+        for cert in certs:
+            h = cert.pattern
+            M_lam, m_gam = M_mat(h, cert.lam), m_vec(h, cert.gam)
+            assert psd_blocks(cert) == (
+                bordered(cert.corner, m_gam, M_lam),
+                bordered(cert.corner, m_gam, M_lam + M_mat(h, cert.gam).scale(cert.Delta)))
 
     def test_minimal_epsilon(self, certs):
         for cert in certs:

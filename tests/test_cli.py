@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +16,8 @@ import lscert.certificate
 from lscert.bundled import certificate_path
 from lscert.cli import EXIT_FALSE, EXIT_OK, EXIT_USAGE, main
 from lscert.exact_linalg import rat_from_decimal, rat_to_str
+from lscert.pep_builder import StepsizePattern, mat_pos
+from oracles import interpolation_matrix, pep_matrices
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -140,7 +145,7 @@ class TestVerify:
 
     def test_json_schema_version(self, capsys):
         code, out, _ = run(capsys, "verify", str(certificate_path("t3")), "--json")
-        assert json.loads(out)["schema_version"] == 1
+        assert json.loads(out)["schema_version"] == 2
 
 
 KEYS = ("t", "h", "delta", "epsilon", "lambda", "gamma")
@@ -302,9 +307,77 @@ class TestDumpPep:
         code, out, _ = run(capsys, "dump-pep", "--pattern", "1.5,4.9,1.5")
         assert code == EXIT_OK
         obj = json.loads(out)
+        assert obj["schema_version"] == 2
         assert obj["t"] == 3
         assert obj["pairs"]["*,0"]["a"] == ["1", "0", "0", "0"]
-        # B_{0,*} has a single unit entry in the corner
-        b = obj["pairs"]["0,*"]["B"]
-        assert b[0][0] == "1"
-        assert all(v == "0" for row in b for v in row) is False
+        # the pair (0, *) has A = 0 and C = (g_0)(g_0)': one entry, 1/2 at g_0's position
+        assert obj["pairs"]["0,*"] == {"pos": [1, 0], "a": ["-1", "0", "0", "0"],
+                                       "A_plus_half_C": [[1, 1, "1/2"]]}
+
+    @pytest.mark.parametrize("source", [("--pattern", "1.5,4.9,1.5"), ("--pattern-id", "t7"),
+                                        ("--pattern", "1,0.5,2")])
+    def test_every_pair_matches_the_dense_oracle(self, capsys, source):
+        code, out, _ = run(capsys, "dump-pep", *source)
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        h = StepsizePattern.from_text(",".join(obj["h"]))
+        t = h.t
+        dense = pep_matrices(h)
+        assert list(obj["pairs"]) == [f"{i},{j}" for i, j in dense]
+        for (i, j), pm in dense.items():
+            entry = obj["pairs"][f"{i},{j}"]
+            assert entry["pos"] == [mat_pos(i, t), mat_pos(j, t)]
+            assert tuple(rat_from_decimal(v) for v in entry["a"]) == pm["a"]
+            K = interpolation_matrix(pm)
+            assert {(r, c): rat_from_decimal(v) for r, c, v in entry["A_plus_half_C"]} == {
+                (r, c): v for r in range(t + 2) for c, v in enumerate(K.row(r)) if v}
+
+    def test_bundled_t31(self, capsys, tmp_path):
+        # the pair table is O(t^2) terms per pair; the dense matrices were O(t^4)
+        path = tmp_path / "pep.json"
+        code, out, _ = run(capsys, "dump-pep", "--pattern-id", "t31", "--out", str(path))
+        assert code == EXIT_OK and str(path) in out
+        obj = json.loads(path.read_text())
+        assert obj["t"] == 31 and len(obj["pairs"]) == 33 * 32
+        assert obj["pairs"]["31,*"]["A_plus_half_C"] == [[32, 32, "1/2"]]
+
+
+QUERY_BLAS_THREADS = """
+import ctypes
+from pathlib import Path
+import lscert
+import numpy as np
+libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+for so in sorted(libdir.glob("libscipy_openblas*.so*")):
+    lib = ctypes.CDLL(str(so))
+    for fn in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+               "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, fn):
+            print(getattr(lib, fn)())
+            raise SystemExit
+print(0)
+"""
+
+
+class TestBlasThreadPin:
+    """Importing lscert before numpy pins one OpenBLAS thread unless the
+    environment sets a count, so generated certificates repeat."""
+
+    def threads(self, value):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")])
+        out = subprocess.run([sys.executable, "-c", QUERY_BLAS_THREADS], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        n = int(out)
+        if n == 0:
+            pytest.skip("numpy's OpenBLAS thread count cannot be queried here")
+        return n
+
+    def test_unset_means_one_thread(self):
+        assert self.threads(None) == 1
+
+    def test_environment_wins(self):
+        assert self.threads("2") == 2

@@ -9,16 +9,14 @@ from lscert.pep_builder import (
     StepsizePattern,
     assemble_Z,
     bordered,
-    build_basis,
-    build_pep_data,
     index_pairs,
     m_vec,
     M_mat,
     mat_pos,
-    pair_data,
     pair_table,
     sum_a,
 )
+from oracles import basis, interpolation_matrix, pair_matrices, pep_matrices
 
 F = Fraction
 
@@ -67,63 +65,63 @@ class TestPattern:
 
 
 class TestBasis:
+    # the dense test oracle's coordinates: (g, x, f)
     def test_x1_x2(self, h29_15):
-        b = build_basis(h29_15)
-        assert b.x[1] == (F(1), F(-29, 10), F(0), F(0))
-        assert b.x[2] == (F(1), F(-29, 10), F(-3, 2), F(0))
+        _, x, _ = basis(h29_15)
+        assert x[1] == (F(1), F(-29, 10), F(0), F(0))
+        assert x[2] == (F(1), F(-29, 10), F(-3, 2), F(0))
 
     def test_starred_entries_zero(self, h29_15):
-        b = build_basis(h29_15)
-        assert all(v == 0 for v in b.g[STAR])
-        assert all(v == 0 for v in b.f[STAR])
-        assert all(v == 0 for v in b.x[STAR])
+        g, x, f = basis(h29_15)
+        assert all(v == 0 for v in g[STAR])
+        assert all(v == 0 for v in f[STAR])
+        assert all(v == 0 for v in x[STAR])
 
     def test_x0_is_e1(self, h29_15):
-        assert build_basis(h29_15).x[0] == (F(1), F(0), F(0), F(0))
+        assert basis(h29_15)[1][0] == (F(1), F(0), F(0), F(0))
 
 
 class TestPepData:
+    # the dense A/B/C/a of the test oracle, against the paper's definitions
     def test_B_0_star(self, h29_15):
-        d = build_pep_data(h29_15)
-        B = d.pair(0, STAR).B
+        B = pep_matrices(h29_15)[0, STAR]["B"]
         expect = RatMatrix.zeros(4).to_rows()
         expect[0][0] = F(1)
         assert B == RatMatrix.from_rows(expect)
 
     def test_A_star_0(self, h29_15):
-        d = build_pep_data(h29_15)
-        A = d.pair(STAR, 0).A
+        A = pep_matrices(h29_15)[STAR, 0]["A"]
         rows = RatMatrix.zeros(4).to_rows()
         rows[0][1] = rows[1][0] = F(-1, 2)
         assert A == RatMatrix.from_rows(rows)
 
     def test_a_vectors(self, h29_15):
-        d = build_pep_data(h29_15)
+        d = pep_matrices(h29_15)
         t = 2
-        assert d.pair(STAR, t).a == (F(0), F(0), F(1))
-        assert d.pair(STAR, 0).a == (F(1), F(0), F(0))
+        assert d[STAR, t]["a"] == (F(0), F(0), F(1))
+        assert d[STAR, 0]["a"] == (F(1), F(0), F(0))
 
     def test_B_and_C_are_psd(self, h29_15):
-        d = build_pep_data(h29_15)
+        d = pep_matrices(h29_15)
         for ij in index_pairs(2):
-            assert psd_check(d.pair(*ij).B).is_psd
-            assert psd_check(d.pair(*ij).C).is_psd
+            assert psd_check(d[ij]["B"]).is_psd
+            assert psd_check(d[ij]["C"]).is_psd
 
     def test_trace_oracle(self, h29_15):
         # Tr(G B_{i,j}) equals ||H x_i - H x_j||^2 for G = H'H, exactly
         rng = random.Random(5)
-        d = build_pep_data(h29_15)
-        b = d.basis
+        d = pep_matrices(h29_15)
+        _, x, _ = basis(h29_15)
         n = 4
         H = [[F(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(n)]
         Hm = RatMatrix.from_rows(H)
         G = RatMatrix.from_rows([[sum((H[k][r] * H[k][c] for k in range(n)), F(0))
                                   for c in range(n)] for r in range(n)])
         for i, j in index_pairs(2):
-            dx = tuple(p - q for p, q in zip(b.x[i], b.x[j]))
+            dx = tuple(p - q for p, q in zip(x[i], x[j]))
             img = Hm.matvec(dx)
             norm2 = sum((v * v for v in img), F(0))
-            B = d.pair(i, j).B
+            B = d[i, j]["B"]
             tr = sum((G.entry(r, c) * B.entry(c, r) for r in range(n) for c in range(n)), F(0))
             assert tr == norm2
 
@@ -173,7 +171,7 @@ class TestZAssembly:
             for t in (1, 2, 3, 7, 15, 31)]
         for h in patterns:
             t = h.t
-            basis = build_basis(h)
+            vectors = basis(h)
             pairs = list(index_pairs(t))
             if t > 7:
                 pairs = rng.sample(pairs, 64)
@@ -184,10 +182,10 @@ class TestZAssembly:
             dense_sum = [F(0)] * (t + 1)
             dense_Z = RatMatrix.zeros(t + 2)
             for i, j in pairs:
-                pd = pair_data(basis, i, j)
+                pm = pair_matrices(vectors, i, j)
                 c = arg.entry(mat_pos(i, t), mat_pos(j, t))
-                dense_sum = [s + c * a for s, a in zip(dense_sum, pd.a)]
-                dense_Z = dense_Z + (pd.A + pd.C.scale(F(1, 2))).scale(c)
+                dense_sum = [s + c * a for s, a in zip(dense_sum, pm["a"])]
+                dense_Z = dense_Z + interpolation_matrix(pm).scale(c)
             assert sum_a(h, arg) == tuple(dense_sum)
             assert assemble_Z(h, F(0), arg, F(0)) == dense_Z
 
@@ -199,20 +197,20 @@ class TestZAssembly:
             for t in (1, 2, 3, 7)]
         for h in patterns:
             t = h.t
-            basis = build_basis(h)
+            vectors = basis(h)
             table = pair_table(h)
             assert len(table.pairs) == (t + 2) * (t + 1)
             for (i, j), p in zip(index_pairs(t), table.pairs):
-                pd = pair_data(basis, i, j)
+                pm = pair_matrices(vectors, i, j)
                 assert p.pos == (mat_pos(i, t), mat_pos(j, t))
                 a = [F(0)] * (t + 1)
                 for k, s in p.balance:
                     a[k] += s
-                assert tuple(a) == pd.a
+                assert tuple(a) == pm["a"]
                 K = [[F(0)] * (t + 2) for _ in range(t + 2)]
                 for (r, c), v in p.entries().items():
                     K[r][c] = v
-                assert RatMatrix.from_rows(K) == pd.A + pd.C.scale(F(1, 2))
+                assert RatMatrix.from_rows(K) == interpolation_matrix(pm)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 7, 15, 31])
     def test_closed_forms_match_pair_table_on_every_pair(self, t):

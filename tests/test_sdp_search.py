@@ -421,12 +421,19 @@ class TestGenerate:
         with pytest.raises(PreconditionError):
             generate(big, F(1, 1000))
 
+    def test_one_scale_cap_for_every_float_solve(self, monkeypatch):
+        # refused before any matrix is built: a t63 search matrix alone is ~1.6 GB
+        monkeypatch.setattr(sdp_search, "pair_table", None)
+        for solve in (lambda h: solve_approx(h, 1e-7), lambda h: evaluate_primal(h, 1e-7)):
+            with pytest.raises(PreconditionError, match=r"t <= 31"):
+                solve(bundled_pattern("t63"))
+
 
 class TestEvaluatePrimal:
     def test_unit_pattern_descent(self):
         pv = evaluate_primal(StepsizePattern((F(1),)), 0.1)
         assert pv.value <= 0.1 - 0.1 ** 2 + 1e-6
-        assert pv.rank_one
+        assert pv.numerical_rank == 1
 
     def test_zero_gap(self):
         pv = evaluate_primal(StepsizePattern((F(1),)), 0.0)
@@ -435,7 +442,7 @@ class TestEvaluatePrimal:
     def test_two_step_bound_and_rank(self):
         pv = evaluate_primal(StepsizePattern.from_text("2.9,1.5"), 1e-3)
         assert pv.value <= 1e-3 - 4.4 * 1e-6 + 1e-6
-        assert pv.rank_one
+        assert pv.numerical_rank == 1
         e = pv.gram_eigenvalues
         assert e[-2] < 1e-6 * e[-1]
 

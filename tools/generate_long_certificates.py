@@ -13,15 +13,11 @@ outside the supported desk scale.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-# generated certificates depend on the BLAS thread count; pin one thread
-# before numpy loads, unless the environment sets a count
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lscert.bundled import bundled_pattern  # noqa: E402
