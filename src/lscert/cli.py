@@ -31,7 +31,7 @@ from .pep_builder import StepsizePattern, index_pairs, pair_table
 from .rates import ProblemScale, UnsupportedRegimeError, bound_at, rate_guarantee
 from .sdp_search import NotFound, RoundingFailure, SolveOptions, generate
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 EXIT_OK, EXIT_FALSE, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
@@ -204,21 +204,26 @@ def cmd_rate(args) -> CommandOutcome:
     value = bound_at(T, scale, g)
     s = T // pattern.t
     phase = "contraction" if s <= g.s_bar else "sublinear"
+    try:
+        bound, coefficient = float(value), float(scale.ld2 / g.avg_minus_eps)
+    except OverflowError:
+        raise UsageError("the bound exceeds the float range; it scales with f0gap and "
+                         "L D^2, so scale both down by one factor") from None
     payload = {
         "t": pattern.t,
         "s_bar": g.s_bar,
         "crossover_T": g.s_bar * pattern.t,
         "contraction_factor_per_application": float(g.contraction_factor),
-        "sublinear_coefficient": float(scale.ld2 / g.avg_minus_eps),
+        "sublinear_coefficient": coefficient,
         "T": T,
         "phase": phase,
-        "bound": float(value),
+        "bound": bound,
     }
     summary = (
         f"s_bar = {g.s_bar} pattern applications (crossover at T = {g.s_bar * pattern.t});\n"
         f"contraction phase: gap <= {float(g.contraction_factor):.9f}^s * f0gap;\n"
         f"sublinear phase:   gap <= LD^2 / ((avg(h)-eps)(T - s_bar t) + 1/Delta);\n"
-        f"bound at T={T} ({phase} phase): {float(value):.6e}")
+        f"bound at T={T} ({phase} phase): {bound:.6e}")
     return CommandOutcome(EXIT_OK, summary, payload)
 
 
@@ -264,12 +269,13 @@ def cmd_dump_pep(args) -> CommandOutcome:
             "A_plus_half_C": [[r, c, rat_to_str(v)]
                               for (r, c), v in sorted(p.entries().items()) if v],
         }
-    text = json.dumps(obj, indent=1)
+    summary = f"PEP data for h=({pattern.as_text()})"
     if args.out:
-        Path(args.out).write_text(text + "\n")
-        return CommandOutcome(EXIT_OK, f"PEP data for h=({pattern.as_text()})",
-                              {"t": pattern.t}, str(args.out))
-    return CommandOutcome(EXIT_OK, text)
+        Path(args.out).write_text(json.dumps(obj, indent=1) + "\n")
+        return CommandOutcome(EXIT_OK, summary, {"t": t}, str(args.out))
+    if args.json:  # the document as an object in the envelope, not a string
+        return CommandOutcome(EXIT_OK, summary, {"t": t, "pep": obj})
+    return CommandOutcome(EXIT_OK, json.dumps(obj, indent=1))
 
 
 # --- parser ---------------------------------------------------------------------

@@ -27,8 +27,7 @@ class DivergedError(RuntimeError):
 @dataclass
 class SmoothProblem:
     n: int
-    objective: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    oracle: Callable[[np.ndarray], tuple[float, np.ndarray]]  # x -> (f(x), grad f(x))
     L: float
     f_star: float
     x_star: np.ndarray
@@ -54,7 +53,11 @@ class TrajectoryRecord:
 
 def run_gd(problem: SmoothProblem, pattern: StepsizePattern, T: int,
            x0: np.ndarray | None = None, pattern_id: str = "") -> TrajectoryRecord:
-    """Iterate x <- x - (h_(k mod t) / L) grad f(x) for T steps, recording gaps."""
+    """Iterate x <- x - (h_(k mod t) / L) grad f(x) for T steps, recording gaps.
+
+    One oracle call per iterate x_0, ..., x_T gives both its gap and the
+    gradient of the next step.
+    """
     if T < 1:
         raise ValueError("T must be at least 1")
     if not (np.isfinite(problem.L) and problem.L > 0):
@@ -63,13 +66,13 @@ def run_gd(problem: SmoothProblem, pattern: StepsizePattern, T: int,
     steps = [float(h) / problem.L for h in pattern.h]
     x = np.zeros(problem.n) if x0 is None else np.array(x0, dtype=float)
     gaps = np.empty(T + 1)
-    gaps[0] = problem.objective(x) - problem.f_star
+    val, g = problem.oracle(x)
+    gaps[0] = val - problem.f_star
     for k in range(T):
-        g = problem.gradient(x)
         if not np.all(np.isfinite(g)):
             raise DivergedError(k)
         x = x - steps[k % pattern.t] * g
-        val = problem.objective(x)
+        val, g = problem.oracle(x)
         if not np.isfinite(val):
             raise DivergedError(k + 1)
         gaps[k + 1] = val - problem.f_star
@@ -169,18 +172,14 @@ def gen_least_squares(n: int, seed: int, ridge: bool) -> SmoothProblem:
     A = z[: n * n].reshape(n, n)
     b = z[n * n:]
 
-    def objective(x: np.ndarray) -> float:
-        r = A @ x - b
+    def oracle(x: np.ndarray) -> tuple[float, np.ndarray]:
+        r = A @ x - b  # one residual for both: two matrix-vector products
         val = float(r @ r)
+        g = 2.0 * (A.T @ r)
         if ridge:
             val += float(x @ x)
-        return val
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        g = 2.0 * (A.T @ (A @ x - b))
-        if ridge:
             g = g + 2.0 * x
-        return g
+        return val, g
 
     sigma_sq = _top_singular_value_sq(A)
     L = 2.0 * sigma_sq * (1.0 + 1e-8) + (2.0 if ridge else 0.0)
@@ -192,8 +191,7 @@ def gen_least_squares(n: int, seed: int, ridge: bool) -> SmoothProblem:
         x_star, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
         if rank < n:
             descriptor["solver"] = "min-norm-least-squares"
-    return SmoothProblem(n=n, objective=objective, gradient=gradient, L=L,
-                         f_star=objective(x_star), x_star=x_star,
+    return SmoothProblem(n=n, oracle=oracle, L=L, f_star=oracle(x_star)[0], x_star=x_star,
                          descriptor=descriptor)
 
 

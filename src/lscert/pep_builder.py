@@ -16,6 +16,7 @@ a_{i,j} = f_j - f_i. ``pair_table`` is the one explicit form of these terms;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -54,7 +55,7 @@ class StepsizePattern:
     def t(self) -> int:
         return len(self.h)
 
-    @property
+    @cached_property
     def sum_h(self) -> Fraction:
         return sum(self.h, Fraction(0))
 

@@ -6,16 +6,18 @@ sublinear phase where the gap is at most L D^2 / ((avg(h) - eps)(T - s_bar t)
 + 1/Delta). Growth-bound variants sharpen the sublinear phase.
 
 s_bar is the number of pattern applications needed to drive the gap below
-L D^2 Delta. It is computed exactly: s doubles until the s-th power of the
-contraction factor reaches that level, then a bisection finds the smallest
-such s. Each comparison uses directed fixed-point interval powers (outward
-rounding, exact rational fallback), so the reported bound is never tighter
-than the theory allows.
+L D^2 Delta. It is computed exactly: a float estimate of ceil(ln R / ln B)
+is confirmed by two exact comparisons, and on a miss the search gallops
+outward from it and bisects. Each comparison uses directed fixed-point
+powers (outward rounding at a resolution relative to the target, exact
+rational fallback), so the reported bound is never tighter than the theory
+allows.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 
@@ -51,7 +53,7 @@ class ProblemScale:
         if self.f0gap < 0:
             raise ValueError("f0gap must be nonnegative")
 
-    @property
+    @cached_property
     def ld2(self) -> Fraction:
         return self.L * self.D * self.D
 
@@ -69,11 +71,11 @@ class RateGuarantee:
         if self.s_bar < 0:
             raise ValueError("s_bar must be nonnegative")
 
-    @property
+    @cached_property
     def avg_minus_eps(self) -> Fraction:
         return self.sum_h_minus_eps / self.t
 
-    @property
+    @cached_property
     def contraction_factor(self) -> Fraction:
         return 1 - self.sum_h_minus_eps * self.Delta
 
@@ -93,42 +95,66 @@ class GrowthSpec:
             raise ValueError("growth modulus mu must be positive")
 
 
-# --- exact powers of rationals in (0, 1) via directed fixed-point intervals --
+# --- exact powers of rationals in (0, 1) via directed fixed-point chains -----
 
-def _pow_interval(base: Fraction, s: int, prec: int) -> tuple[Fraction, Fraction]:
-    """[lo, hi] containing base**s, each rounding step directed outward."""
-    scale = 1 << prec
-    bl = (base.numerator * scale) // base.denominator
-    bh = -((-base.numerator * scale) // base.denominator)
-    rl, rh = scale, scale
+_SBAR_CAP = 1 << 62
+
+
+def _pow_fixed(base: Fraction, s: int, prec: int, up: bool) -> int:
+    """base**s in prec-bit fixed point, every rounding step directed down (or
+    up, when up is set), so the result over 2**prec bounds base**s from that
+    side."""
+    # floor shifts round down; run on negated values they round the magnitude up
+    sign = -1 if up else 1
+    b = (sign * base.numerator << prec) // base.denominator
+    r = sign << prec
     e = s
     while e:
         if e & 1:
-            rl = (rl * bl) >> prec
-            rh = -((-rh * bh) >> prec)
+            r = (r * abs(b)) >> prec
         e >>= 1
         if e:
-            bl = (bl * bl) >> prec
-            bh = -((-bh * bh) >> prec)
-    return Fraction(rl, scale), Fraction(rh, scale)
+            b = (b * abs(b)) >> prec
+    return sign * r
 
 
 def _pow_leq(base: Fraction, s: int, target: Fraction) -> bool:
     """Decide base**s <= target exactly (base in (0,1), s >= 0)."""
-    for prec in (192, 384, 768):
-        lo, hi = _pow_interval(base, s, prec)
-        if hi <= target:
+    p, q = target.numerator, target.denominator
+    # fixed-point error is absolute: every rung gets the bits that target's
+    # magnitude lies below 1, so its resolution is relative to target
+    below = max(0, q.bit_length() - p.bit_length())
+    for prec in (192 + below, 384 + below, 768 + below):
+        if _pow_fixed(base, s, prec, up=True) * q <= p << prec:
             return True
-        if lo > target:
+        if _pow_fixed(base, s, prec, up=False) * q > p << prec:
             return False
     return base ** s <= target  # exact rational fallback for razor-thin cases
 
 
-def pow_upper(base: Fraction, s: int, prec: int = 192) -> Fraction:
-    """An upper bound on base**s (safe side for reporting gap bounds)."""
+def _ln(x: Fraction) -> float:
+    """ln x for a rational x in (0, 1), accurate at both ends: nothing
+    underflows near 0 and nothing cancels near 1."""
+    if 2 * x.numerator > x.denominator:
+        return math.log1p(-float(1 - x))
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def pow_upper(base: Fraction, s: int) -> Fraction:
+    """An upper bound on base**s (safe side for reporting gap bounds).
+
+    192-bit fixed point while the bound is at least 2^-96; below that, one
+    more bit for each bit base**s lies below 2^-96, so the bound keeps about
+    96 significant bits at any magnitude.
+    """
     if s == 0:
         return Fraction(1)
-    return min(_pow_interval(base, s, prec)[1], Fraction(1))
+    prec = 192
+    r = _pow_fixed(base, s, prec, up=True)
+    if r.bit_length() <= 96:
+        prec += max(0, math.ceil(-s * _ln(base) / math.log(2)) - 96)
+        r = _pow_fixed(base, s, prec, up=True)
+    return min(Fraction(r, 1 << prec), Fraction(1))
 
 
 def compute_sbar(scale: ProblemScale, sum_h_minus_eps: Fraction,
@@ -136,6 +162,9 @@ def compute_sbar(scale: ProblemScale, sum_h_minus_eps: Fraction,
     """Number of pattern applications in the contraction phase, exactly.
 
     Smallest s >= 0 with (1 - sum(h_i - eps) Delta)^s * f0gap <= L D^2 Delta.
+    That is ceil(ln R / ln B) for R = L D^2 Delta / f0gap and the contraction
+    factor B; the float estimate is confirmed by two exact comparisons, and
+    on a miss the search gallops outward from it and bisects the bracket.
     """
     S = _as_exact(sum_h_minus_eps, "sum_h_minus_eps")
     Delta = _as_exact(Delta, "Delta")
@@ -152,15 +181,42 @@ def compute_sbar(scale: ProblemScale, sum_h_minus_eps: Fraction,
         return 0
     R = threshold / scale.f0gap
 
-    def done(s: int) -> bool:
+    def done(s: int) -> bool:  # monotone in s; done(0) is False since R < 1
         return _pow_leq(B, s, R)
 
-    hi = 1
-    while not done(hi):
-        hi *= 2
-        if hi > 1 << 62:
-            raise UnsupportedRegimeError("contraction phase exceeds 2^62 applications")
-    lo = hi // 2  # done(lo) is False (or lo == 0)
+    ln_b = _ln(B)
+    est = _ln(R) / ln_b if ln_b else math.inf
+    guess = max(1, math.ceil(est)) if est < _SBAR_CAP else _SBAR_CAP
+    s = _least_done(done, guess, _SBAR_CAP)
+    if s is None:
+        raise UnsupportedRegimeError("contraction phase exceeds 2^62 applications")
+    return s
+
+
+def _least_done(done, guess: int, cap: int) -> int | None:
+    """Least s in [1, cap] with done(s), or None if done(cap) is False.
+
+    done must be monotone in s with done(0) False. Two calls decide a right
+    guess; otherwise the search gallops outward from the guess and bisects
+    the bracket it finds.
+    """
+    step = 1
+    if done(guess):  # bracket with not done(lo) and done(hi)
+        hi = guess
+        while hi - step >= 1 and done(hi - step):
+            hi -= step
+            step *= 2
+        lo = max(hi - step, 0)
+    else:
+        lo = guess
+        while True:
+            hi = min(lo + step, cap)
+            if done(hi):
+                break
+            if hi == cap:
+                return None
+            lo = hi
+            step *= 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if done(mid):

@@ -6,6 +6,10 @@ a = f_j - f_i, over the basis whose coordinate 0 carries x_0 and whose
 coordinate i+1 carries g_i (L = 1). This costs O(t^4) for all pairs; the
 tests use it as the definition that pep_builder's pair table and closed
 forms must reproduce.
+
+It also keeps the rate bounds' first algorithm: s_bar by doubling and
+bisection over fixed-point intervals of absolute resolution, and the
+contraction-phase bound at 192 bits.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ from typing import Sequence
 from lscert.certificate import Certificate
 from lscert.exact_linalg import RatMatrix
 from lscert.pep_builder import STAR, StepsizePattern, bordered, index_pairs, mat_pos
+from lscert.rates import ProblemScale, RateGuarantee, UnsupportedRegimeError
 
 
 def basis(h: StepsizePattern) -> tuple[dict, dict, dict]:
@@ -108,3 +113,67 @@ def psd_blocks(cert: Certificate) -> tuple[RatMatrix, RatMatrix]:
     M_lam = trailing(S_lam)
     return (bordered(cert.corner, m_gam, M_lam),
             bordered(cert.corner, m_gam, M_lam + trailing(S_gam).scale(cert.Delta)))
+
+
+def pow_interval(base: Fraction, s: int, prec: int) -> tuple[Fraction, Fraction]:
+    """[lo, hi] containing base**s in prec-bit fixed point, rounded outward."""
+    scale = 1 << prec
+    bl = (base.numerator * scale) // base.denominator
+    bh = -((-base.numerator * scale) // base.denominator)
+    rl, rh = scale, scale
+    e = s
+    while e:
+        if e & 1:
+            rl = (rl * bl) >> prec
+            rh = -((-rh * bh) >> prec)
+        e >>= 1
+        if e:
+            bl = (bl * bl) >> prec
+            bh = -((-bh * bh) >> prec)
+    return Fraction(rl, scale), Fraction(rh, scale)
+
+
+def pow_leq(base: Fraction, s: int, target: Fraction) -> bool:
+    """base**s <= target, on the ladder 192/384/768 bits, then exactly."""
+    for prec in (192, 384, 768):
+        lo, hi = pow_interval(base, s, prec)
+        if hi <= target:
+            return True
+        if lo > target:
+            return False
+    return base ** s <= target
+
+
+def doubling_sbar(scale: ProblemScale, S: Fraction, Delta: Fraction) -> int:
+    """Smallest s >= 0 with (1 - S Delta)^s f0gap <= L D^2 Delta: s doubles
+    until it is enough, then a bisection finds the least such s."""
+    contraction = S * Delta
+    if not 0 < contraction < 1:
+        raise UnsupportedRegimeError("sum(h_i - eps) * Delta outside (0, 1)")
+    B = 1 - contraction
+    threshold = scale.ld2 * Delta
+    if scale.f0gap <= threshold:
+        return 0
+    R = threshold / scale.f0gap
+    hi = 1
+    while not pow_leq(B, hi, R):
+        hi *= 2
+        if hi > 1 << 62:
+            raise UnsupportedRegimeError("contraction phase exceeds 2^62 applications")
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pow_leq(B, mid, R):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def bound_192(T: int, scale: ProblemScale, g: RateGuarantee) -> Fraction:
+    """The gap bound after T steps, its contraction power at 192 bits."""
+    s = T // g.t
+    if s <= g.s_bar:
+        B = 1 - g.sum_h_minus_eps * g.Delta
+        return min(pow_interval(B, s, 192)[1], Fraction(1)) * scale.f0gap
+    return scale.ld2 / (g.sum_h_minus_eps / g.t * (T - g.s_bar * g.t) + 1 / g.Delta)

@@ -9,11 +9,12 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lscert.certificate
-from lscert.bundled import certificate_path
+from lscert.bundled import bundled_pattern, bundled_pattern_meta, certificate_path
 from lscert.cli import EXIT_FALSE, EXIT_OK, EXIT_USAGE, main
 from lscert.exact_linalg import rat_from_decimal, rat_to_str
 from lscert.pep_builder import StepsizePattern, mat_pos
@@ -145,7 +146,7 @@ class TestVerify:
 
     def test_json_schema_version(self, capsys):
         code, out, _ = run(capsys, "verify", str(certificate_path("t3")), "--json")
-        assert json.loads(out)["schema_version"] == 2
+        assert json.loads(out)["schema_version"] == 3
 
 
 KEYS = ("t", "h", "delta", "epsilon", "lambda", "gamma")
@@ -282,6 +283,54 @@ class TestRate:
         assert "multiple" in err
 
 
+def decimal_literal(mantissa: int, exponent: int) -> str:
+    """mantissa * 10^exponent as a plain decimal literal (no exponent syntax)."""
+    if exponent >= 0:
+        return str(mantissa) + "0" * exponent
+    digits = str(mantissa).rjust(1 - exponent, "0")
+    return f"{digits[:exponent]}.{digits[exponent:]}"
+
+
+DECIMALS = st.builds(decimal_literal, st.integers(0, 10 ** 6), st.integers(-450, 450))
+
+
+def rate_in_subprocess(*argv) -> subprocess.CompletedProcess:
+    """`lscert rate` in a fresh interpreter; a hang fails the test by timeout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "lscert.cli", "rate", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestRateAtAnyScale:
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(pid=st.sampled_from(["const1", "t2", "t7", "t127"]), L=DECIMALS, D=DECIMALS,
+           f0gap=DECIMALS, k=st.integers(1, 10 ** 9))
+    def test_exits_0_or_2(self, pid, L, D, f0gap, k):
+        T = k * bundled_pattern(pid).t
+        proc = rate_in_subprocess("--pattern-id", pid, "--L", L, "--D", D, "--f0gap", f0gap,
+                                  "--T", str(T), "--json")
+        assert proc.returncode in (EXIT_OK, EXIT_USAGE), proc.stderr
+        if proc.returncode == EXIT_OK:
+            assert json.loads(proc.stdout)["bound"] >= 0
+
+    @pytest.mark.parametrize("digits", [225, 400])
+    def test_large_ratio_crossover(self, digits):
+        # f0gap / (L D^2 Delta) = 10^digits: the bound at T = s_bar t is at most L D^2 Delta
+        meta = bundled_pattern_meta("t7")
+        f0gap = meta["delta"] * 10 ** digits
+        B = 1 - (bundled_pattern("t7").sum_h - 7 * meta["epsilon"]) * meta["delta"]
+        with mpmath.workdps(600):
+            s_bar = int(mpmath.ceil(-digits * mpmath.log(10)
+                                    / mpmath.log(mpmath.mpf(B.numerator) / B.denominator)))
+        proc = rate_in_subprocess("--pattern-id", "t7", "--f0gap", rat_to_str(f0gap),
+                                  "--T", str(7 * s_bar), "--json")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        obj = json.loads(proc.stdout)
+        assert obj["s_bar"] == s_bar and obj["phase"] == "contraction"
+        assert obj["bound"] <= float(meta["delta"])
+
+
 class TestSimulate:
     def test_writes_csv_and_descriptor(self, capsys, tmp_path):
         out = tmp_path / "run.csv"
@@ -307,12 +356,25 @@ class TestDumpPep:
         code, out, _ = run(capsys, "dump-pep", "--pattern", "1.5,4.9,1.5")
         assert code == EXIT_OK
         obj = json.loads(out)
-        assert obj["schema_version"] == 2
+        assert obj["schema_version"] == 3
         assert obj["t"] == 3
         assert obj["pairs"]["*,0"]["a"] == ["1", "0", "0", "0"]
         # the pair (0, *) has A = 0 and C = (g_0)(g_0)': one entry, 1/2 at g_0's position
         assert obj["pairs"]["0,*"] == {"pos": [1, 0], "a": ["-1", "0", "0", "0"],
                                        "A_plus_half_C": [[1, 1, "1/2"]]}
+
+    def test_json_envelope_carries_the_document(self, capsys, tmp_path):
+        # the document is an object under "pep" and the summary is the --out line
+        code, out, _ = run(capsys, "dump-pep", "--pattern", "1.5,4.9,1.5", "--json")
+        assert code == EXIT_OK
+        env = json.loads(out)
+        _, plain, _ = run(capsys, "dump-pep", "--pattern", "1.5,4.9,1.5")
+        assert env["pep"] == json.loads(plain)
+        path = tmp_path / "pep.json"
+        _, to_file, _ = run(capsys, "dump-pep", "--pattern", "1.5,4.9,1.5", "--out", str(path),
+                            "--json")
+        assert env["summary"] == json.loads(to_file)["summary"] == "PEP data for h=(3/2,49/10,3/2)"
+        assert env["schema_version"] == 3 and env["t"] == 3
 
     @pytest.mark.parametrize("source", [("--pattern", "1.5,4.9,1.5"), ("--pattern-id", "t7"),
                                         ("--pattern", "1,0.5,2")])

@@ -6,6 +6,7 @@ import pytest
 from lscert.bundled import bundled_pattern
 from lscert.gd_lab import (
     DivergedError,
+    _box_muller_normals,
     SmoothProblem,
     TrajectoryRecord,
     emit_csv,
@@ -24,8 +25,7 @@ F = Fraction
 def quadratic_1d() -> SmoothProblem:
     return SmoothProblem(
         n=1,
-        objective=lambda x: float(0.5 * np.dot(x, x)),  # overflows to inf, not OverflowError
-        gradient=lambda x: x.copy(),
+        oracle=lambda x: (float(0.5 * np.dot(x, x)), x.copy()),  # overflows to inf, not OverflowError
         L=1.0,
         f_star=0.0,
         x_star=np.zeros(1),
@@ -61,6 +61,78 @@ class TestRunGd:
         with pytest.raises(ValueError):
             TrajectoryRecord(gaps=np.array([1.0, -0.5]), pattern_id="x",
                              seed=0, T=1, L=1.0)
+
+
+def three_call_gaps(objective, gradient, L, f_star, pattern, T, x0) -> np.ndarray:
+    """run_gd's loop with the objective and the gradient evaluated apart:
+    three matrix-vector products per least-squares step."""
+    steps = [float(h) / L for h in pattern.h]
+    x = np.array(x0, dtype=float)
+    gaps = [objective(x) - f_star]
+    for k in range(T):
+        g = gradient(x)
+        if not np.all(np.isfinite(g)):
+            raise DivergedError(k)
+        x = x - steps[k % pattern.t] * g
+        val = objective(x)
+        if not np.isfinite(val):
+            raise DivergedError(k + 1)
+        gaps.append(val - f_star)
+    return np.array(gaps)
+
+
+def least_squares_parts(n: int, seed: int, ridge: bool):
+    """The objective and the gradient of gen_least_squares(n, seed, ridge),
+    each forming its own residual."""
+    z = _box_muller_normals(np.random.Generator(np.random.PCG64(seed)), n * n + n)
+    A, b = z[: n * n].reshape(n, n), z[n * n:]
+
+    def objective(x):
+        r = A @ x - b
+        return float(r @ r) + (float(x @ x) if ridge else 0.0)
+
+    def gradient(x):
+        g = 2.0 * (A.T @ (A @ x - b))
+        return g + 2.0 * x if ridge else g
+
+    return objective, gradient
+
+
+def half_square(x):
+    return float(0.5 * np.dot(x, x))
+
+
+def capped_identity(x):
+    return x.copy() if np.all(np.abs(x) < 1e10) else np.full_like(x, np.nan)
+
+
+class TestOneOraclePerIterate:
+    @pytest.mark.parametrize("ridge", [False, True])
+    @pytest.mark.parametrize("pid", ["const1", "t7", "t127"])
+    def test_gaps_bit_equal_to_separate_calls(self, pid, ridge):
+        n, T = 60, 400
+        prob = gen_least_squares(n, 5, ridge)
+        objective, gradient = least_squares_parts(n, 5, ridge)
+        assert prob.f_star == objective(prob.x_star)
+        pattern = bundled_pattern(pid)
+        ref = three_call_gaps(objective, gradient, prob.L, prob.f_star, pattern, T,
+                              np.zeros(n))
+        assert run_gd(prob, pattern, T).gaps.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("gradient, h, x0", [
+        (lambda x: x.copy(), "1000", 1.0),   # the objective overflows first
+        (capped_identity, "3", 1.0),         # the gradient fails, the objective is finite
+        (lambda x: x.copy(), "1", np.inf),   # non-finite from the start
+    ])
+    def test_diverged_index_unchanged(self, gradient, h, x0):
+        pattern = StepsizePattern.from_text(h)
+        with pytest.raises(DivergedError) as ref:
+            three_call_gaps(half_square, gradient, 1.0, 0.0, pattern, 2000, [x0])
+        prob = SmoothProblem(n=1, oracle=lambda x: (half_square(x), gradient(x)), L=1.0,
+                             f_star=0.0, x_star=np.zeros(1))
+        with pytest.raises(DivergedError) as got:
+            run_gd(prob, pattern, 2000, x0=np.array([x0]))
+        assert got.value.iterate == ref.value.iterate
 
 
 class TestOneDimensionalOracle:
@@ -124,15 +196,16 @@ class TestLeastSquares:
         for _ in range(5):
             x = rng.standard_normal(25)
             y = rng.standard_normal(25)
-            gap = np.linalg.norm(prob.gradient(x) - prob.gradient(y))
+            gap = np.linalg.norm(prob.oracle(x)[1] - prob.oracle(y)[1])
             assert gap <= prob.L * np.linalg.norm(x - y) * (1 + 1e-9)
 
     def test_descriptor_and_optimum(self):
         prob = gen_least_squares(20, 11, ridge=True)
         assert prob.descriptor["generator"] == "pcg64-box-muller"
         # first-order optimality at the reported minimizer
-        assert np.linalg.norm(prob.gradient(prob.x_star)) <= 1e-8
-        assert prob.objective(prob.x_star) == prob.f_star
+        val, grad = prob.oracle(prob.x_star)
+        assert np.linalg.norm(grad) <= 1e-8
+        assert val == prob.f_star
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):

@@ -1,18 +1,24 @@
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lscert import bundled
 from lscert.rates import (
     GrowthSpec,
     ProblemScale,
     RateGuarantee,
     UnsupportedRegimeError,
+    _least_done,
     bound_at,
     compute_sbar,
     holder_bound,
     pow_upper,
     rate_guarantee,
 )
+from oracles import bound_192, doubling_sbar
 
 F = Fraction
 
@@ -77,12 +83,12 @@ class TestComputeSbar:
 
 class TestBoundAt:
     def test_contraction_branch_at_boundary(self):
-        from lscert.rates import _pow_interval
+        from lscert.rates import _pow_fixed
         g = t7_guarantee()
         v = bound_at(g.s_bar * 7, UNIT, g)
         # upper-rounded contraction power, still below the threshold region
         assert v <= T7_DELTA * (1 + F(1, 10 ** 12))
-        lo, _ = _pow_interval(g.contraction_factor, g.s_bar, 192)
+        lo = F(_pow_fixed(g.contraction_factor, g.s_bar, 192, up=False), 1 << 192)
         assert v >= lo  # the reported value upper-bounds the exact power
 
     def test_sublinear_value_7000_steps_past_crossover(self):
@@ -181,3 +187,137 @@ class TestHolderBound:
             GrowthSpec(F(3, 2), F(1))
         with pytest.raises(ValueError):
             GrowthSpec(F(2), F(0))
+
+
+# --- s_bar and bound_at against the doubling-and-bisection algorithm ---------
+
+REGISTRY = {pid: (bundled.bundled_pattern(pid), bundled.bundled_pattern_meta(pid))
+            for pid in bundled.pattern_ids()}
+PIDS = sorted(REGISTRY)
+SEARCH = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def registry_sum_delta(pid: str) -> tuple[Fraction, Fraction]:
+    """sum(h_i - eps) and Delta of a registry pattern."""
+    pattern, meta = REGISTRY[pid]
+    return pattern.sum_h - pattern.t * meta["epsilon"], meta["delta"]
+
+
+# L, D and f0gap as the simulate-rates workload draws them
+WORKLOAD_SCALES = st.builds(
+    lambda L, D, f0: ProblemScale(F(L, 100), F(D, 100), F(f0, 100)),
+    st.integers(1, 10 ** 4 - 1), st.integers(1, 10 ** 3 - 1), st.integers(1, 10 ** 8 - 1))
+
+
+def sbar_or_refusal(fn, scale, S, Delta):
+    try:
+        return fn(scale, S, Delta)
+    except UnsupportedRegimeError:
+        return "unsupported"
+
+
+class TestLeastDone:
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(cap=st.integers(1, 1 << 62), data=st.data())
+    def test_least_done_of_any_threshold(self, cap, data):
+        answer = data.draw(st.integers(1, cap + 1), "answer")  # cap + 1: never done
+        near = st.integers(max(1, answer - 3), min(cap, answer + 3))
+        guess = data.draw(st.one_of(near, st.integers(1, cap)), "guess")
+        calls = []
+
+        def done(s):
+            assert 1 <= s <= cap and len(calls) < 300  # a search that loops fails here
+            calls.append(s)
+            return s >= answer
+
+        assert _least_done(done, guess, cap) == (answer if answer <= cap else None)
+        if guess == answer:
+            assert len(calls) <= 2
+        assert len(calls) <= 2 * abs(guess - answer).bit_length() + 3
+
+
+class TestSbarAgainstDoubling:
+    @SEARCH
+    @given(pid=st.sampled_from(PIDS), scale=WORKLOAD_SCALES)
+    def test_workload_queries(self, pid, scale):
+        S, Delta = registry_sum_delta(pid)
+        assert compute_sbar(scale, S, Delta) == doubling_sbar(scale, S, Delta)
+
+    @SEARCH
+    @given(pid=st.sampled_from(PIDS), scale=WORKLOAD_SCALES, num=st.integers(0, 1000),
+           den=st.integers(1, 1000))
+    def test_at_or_below_threshold(self, pid, scale, num, den):
+        S, Delta = registry_sum_delta(pid)
+        low = ProblemScale(scale.L, scale.D, scale.ld2 * Delta * F(min(num, den), den))
+        assert compute_sbar(low, S, Delta) == doubling_sbar(low, S, Delta) == 0
+
+    @SEARCH
+    @given(pid=st.sampled_from(PIDS), scale=WORKLOAD_SCALES, k=st.integers(1, 400))
+    def test_ratio_an_exact_power(self, pid, scale, k):
+        # f0gap = L D^2 Delta / B^k: B^k equals the target, so s_bar is k
+        S, Delta = registry_sum_delta(pid)
+        exact = ProblemScale(scale.L, scale.D, scale.ld2 * Delta / (1 - S * Delta) ** k)
+        assert compute_sbar(exact, S, Delta) == doubling_sbar(exact, S, Delta) == k
+
+    @SEARCH
+    @given(scale=WORKLOAD_SCALES, digits=st.integers(1, 24), mult=st.integers(1, 9),
+           near_one=st.booleans(), delta_den=st.integers(2, 10 ** 6))
+    def test_contraction_near_one_and_near_zero(self, scale, digits, mult, near_one,
+                                                delta_den):
+        # S Delta = 1 - m 10^-j or m 10^-j; from j = 18 on s_bar passes 2^62
+        small = F(mult, 10 ** digits)
+        Delta = F(1, delta_den)
+        S = (1 - small if near_one else small) / Delta
+        assert (sbar_or_refusal(compute_sbar, scale, S, Delta)
+                == sbar_or_refusal(doubling_sbar, scale, S, Delta))
+
+    def test_cap_refused(self):
+        S, Delta = F(1, 10 ** 20), F(1, 2)
+        for fn in (compute_sbar, doubling_sbar):
+            with pytest.raises(UnsupportedRegimeError, match="2\\^62"):
+                fn(UNIT, S, Delta)
+
+
+class TestBoundAtAgainstParent:
+    def test_seeded_workload_queries(self):
+        # the bounds a rate request returns, query by query, as the workload draws them
+        rng = random.Random(7919)
+        for _ in range(40):
+            scale = ProblemScale(F(rng.randrange(1, 10 ** 4), 100),
+                                 F(rng.randrange(1, 10 ** 3), 100),
+                                 F(rng.randrange(1, 10 ** 8), 100))
+            ks = sorted({max(1, int(10 ** rng.uniform(0, 8))) for _ in range(8)})
+            for pid in PIDS:
+                pattern, meta = REGISTRY[pid]
+                g = rate_guarantee(scale, pattern.sum_h, pattern.t, meta["epsilon"],
+                                   meta["delta"])
+                assert g.s_bar == doubling_sbar(scale, g.sum_h_minus_eps, g.Delta)
+                for k in ks + [g.s_bar, g.s_bar + 1]:
+                    if k >= 1:
+                        T = k * pattern.t
+                        assert bound_at(T, scale, g) == bound_192(T, scale, g)
+
+
+class TestLargeRatios:
+    @pytest.mark.parametrize("digits", [225, 400])
+    @pytest.mark.parametrize("pid", PIDS)
+    def test_sbar_and_crossover_bound(self, pid, digits):
+        # f0gap / (L D^2 Delta) = 10^digits, far below the 2^-768 floor of an
+        # absolute fixed-point resolution
+        pattern, meta = REGISTRY[pid]
+        t, Delta = pattern.t, meta["delta"]
+        scale = ProblemScale(F(1), F(1), Delta * 10 ** digits)
+        g = rate_guarantee(scale, pattern.sum_h, t, meta["epsilon"], Delta)
+        v = bound_at(g.s_bar * t, scale, g)
+        assert v <= scale.ld2 * Delta
+
+        def mp(q: Fraction):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        with mpmath.workdps(600):
+            B = mp(g.contraction_factor)
+            assert g.s_bar == int(mpmath.ceil(mpmath.log(mpmath.mpf(10) ** -digits)
+                                              / mpmath.log(B)))
+            # an upper bound on the exact power, to about 96 significant bits
+            exact = B ** g.s_bar * mp(scale.f0gap)
+            assert exact <= mp(v) <= exact * (1 + mpmath.mpf(2) ** -90)
