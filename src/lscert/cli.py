@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 from . import bundled
@@ -182,6 +184,30 @@ def cmd_generate(args) -> CommandOutcome:
 
 # --- rate ---------------------------------------------------------------------
 
+def _float_up(q: Fraction) -> float:
+    """The least float >= q, so that a printed bound never undercuts the
+    certified one; OverflowError past the float range."""
+    f = float(q)
+    if Fraction(f) < q:
+        f = math.nextafter(f, math.inf)
+    if math.isinf(f):
+        raise OverflowError
+    return f
+
+
+def _sci_up(f: float) -> str:
+    """f >= 0 written as f"{f:.6e}" would write it, rounded up instead of to
+    nearest."""
+    text = f"{f:.6e}"
+    if Fraction(text) >= Fraction(f):
+        return text
+    mantissa, exponent = text.split("e")
+    digits, exponent = int(mantissa.replace(".", "")) + 1, int(exponent)
+    if digits == 10 ** 7:
+        digits, exponent = 10 ** 6, exponent + 1
+    return f"{digits // 10 ** 6}.{digits % 10 ** 6:06d}e{exponent:+03d}"
+
+
 def cmd_rate(args) -> CommandOutcome:
     if args.cert:
         cert = load_certificate(args.cert)
@@ -205,7 +231,7 @@ def cmd_rate(args) -> CommandOutcome:
     s = T // pattern.t
     phase = "contraction" if s <= g.s_bar else "sublinear"
     try:
-        bound, coefficient = float(value), float(scale.ld2 / g.avg_minus_eps)
+        bound, coefficient = _float_up(value), _float_up(scale.ld2 / g.avg_minus_eps)
     except OverflowError:
         raise UsageError("the bound exceeds the float range; it scales with f0gap and "
                          "L D^2, so scale both down by one factor") from None
@@ -223,7 +249,7 @@ def cmd_rate(args) -> CommandOutcome:
         f"s_bar = {g.s_bar} pattern applications (crossover at T = {g.s_bar * pattern.t});\n"
         f"contraction phase: gap <= {float(g.contraction_factor):.9f}^s * f0gap;\n"
         f"sublinear phase:   gap <= LD^2 / ((avg(h)-eps)(T - s_bar t) + 1/Delta);\n"
-        f"bound at T={T} ({phase} phase): {bound:.6e}")
+        f"bound at T={T} ({phase} phase): {_sci_up(bound)}")
     return CommandOutcome(EXIT_OK, summary, payload)
 
 

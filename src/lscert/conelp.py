@@ -11,6 +11,15 @@ start. Problems here are desk scale (PSD blocks up to ~130), so every
 factorization is dense. The implementation is deterministic: no randomness
 enters anywhere.
 
+The Schur system is worked in column blocks of BLOCK = 128. Its LP part is
+summed per block pair over the LP rows that touch both blocks (the rows of
+a certificate search hold about three nonzeros each; each block's rows are
+gathered once per solve), and solves with its Cholesky factor run block
+forward and back substitution. At order up to BLOCK there is one block: the
+off-block products are empty, so the substitution makes the two dense
+solves of the unblocked form, and (when no LP row is all zero) the LP sum is
+the one dense product, bit for bit.
+
 Symmetric matrices travel in "svec" form: upper-triangle entries row-major,
 off-diagonals scaled by sqrt(2), so Euclidean inner products equal trace
 inner products.
@@ -248,21 +257,48 @@ def _shift_into_cone(dims: ConeDims, v: np.ndarray, floor: float = 1.0) -> np.nd
     return v + (floor - m) * _identity_point(dims)
 
 
+BLOCK = 128  # columns per block of the Schur system (see the module docstring)
+
+
+def _col_blocks(m: int) -> list[slice]:
+    return [slice(k, min(k + BLOCK, m)) for k in range(0, m, BLOCK)]
+
+
 class _Schur:
-    """Forms and factors H = A' W^2 A, with the PSD columns pre-unpacked."""
+    """Forms H = A' W^2 A, with the PSD columns pre-unpacked and the LP rows
+    gathered per column block."""
 
     def __init__(self, A: np.ndarray, dims: ConeDims):
         self.A = A
-        self.dims = dims
         self.A_lp = A[:dims.nonneg, :]
         self.blocks = _blocks(dims, A.T)  # one (m, p, p) stack per block
+        # per column block: its columns, the LP rows with a nonzero in them,
+        # and those rows on those columns (all blocks: at most one copy of A_lp)
+        self.lp_blocks = []
+        for c in _col_blocks(A.shape[1]):
+            rows = np.flatnonzero(self.A_lp[:, c].any(axis=1))
+            self.lp_blocks.append((c, rows, self.A_lp[rows, c]))
+        # (row block, column block, where their shared LP rows sit in each)
+        # below the diagonal, the triangle Cholesky reads; pairs that share
+        # no row add nothing
+        self.lp_pairs = []
+        for i, (_, ri, _) in enumerate(self.lp_blocks):
+            for j, (_, rj, _) in enumerate(self.lp_blocks[:i]):
+                _, pi, pj = np.intersect1d(ri, rj, assume_unique=True, return_indices=True)
+                if len(pi):
+                    self.lp_pairs.append((i, j, pi, pj))
 
     def factor(self, sc: _Scaling) -> np.ndarray:
         m = self.A.shape[1]
         H = np.zeros((m, m))
-        if self.dims.nonneg:
-            B = self.A_lp * (sc.w ** 2)[:, None]
-            H += self.A_lp.T @ B
+        w2 = sc.w ** 2
+        for c, rows, G in self.lp_blocks:
+            H[c, c] += G.T @ (G * w2[rows, None])
+        for i, j, pi, pj in self.lp_pairs:
+            (ci, ri, Gi), (cj, _, Gj) = self.lp_blocks[i], self.lp_blocks[j]
+            P = Gi[pi].T @ (Gj[pj] * w2[ri[pi], None])
+            H[ci, cj] += P
+            H[cj, ci] += P.T
         for T, R in zip(self.blocks, sc.R):
             # H_jk = <R' A_j R, R' A_k R>
             Tt = np.matmul(np.matmul(R.T, T), R)
@@ -306,6 +342,19 @@ def _chol_factor(H: np.ndarray, events: _Events, first_rung: int = 0
     return None, JITTER_RUNGS
 
 
+def _substitute(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L' x = rhs by block forward and back substitution: a dense
+    solve with each diagonal block of L (then of L') and matrix-vector
+    products with the blocks off it."""
+    cols = _col_blocks(len(rhs))
+    x = rhs.copy()  # solved in place, block by block: L z = rhs, then L' x = z
+    for k in cols:
+        x[k] = np.linalg.solve(L[k, k], x[k] - L[k, :k.start] @ x[:k.start])
+    for k in reversed(cols):
+        x[k] = np.linalg.solve(L[k, k].T, x[k] - L[k.stop:, k].T @ x[k.stop:])
+    return x
+
+
 class _CholSolver:
     """Solves with the Schur matrix H of one iteration, factored once.
 
@@ -323,8 +372,7 @@ class _CholSolver:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         while self.L is not None:
             try:
-                z = np.linalg.solve(self.L, rhs)
-                return np.linalg.solve(self.L.T, z)
+                return _substitute(self.L, rhs)
             except np.linalg.LinAlgError:
                 self.events.jitter_retries += 1
                 self.L, self.rung = _chol_factor(self.H, self.events, self.rung + 1)
@@ -354,10 +402,12 @@ def solve_conic(
     schur = _Schur(A, dims)
     events = _Events()
     # least-squares start shifted into the cone: keeps the initial residuals
-    # commensurate with the complementarity scale
+    # commensurate with the complementarity scale (for b = 0, as in every
+    # certificate search, the least-squares x is zero)
     y = np.linalg.lstsq(A, c, rcond=None)[0]
     s = _shift_into_cone(dims, c - A @ y, floor=init_scale)
-    x = _shift_into_cone(dims, np.linalg.lstsq(A.T, b, rcond=None)[0], floor=init_scale)
+    x0 = np.linalg.lstsq(A.T, b, rcond=None)[0] if b.any() else np.zeros(n)
+    x = _shift_into_cone(dims, x0, floor=init_scale)
 
     bnorm = 1.0 + float(np.linalg.norm(b))
     cnorm = 1.0 + float(np.linalg.norm(c))

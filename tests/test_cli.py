@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 import lscert.certificate
 from lscert.bundled import bundled_pattern, bundled_pattern_meta, certificate_path
-from lscert.cli import EXIT_FALSE, EXIT_OK, EXIT_USAGE, main
+from lscert.cli import EXIT_FALSE, EXIT_OK, EXIT_USAGE, _sci_up, main
 from lscert.exact_linalg import rat_from_decimal, rat_to_str
 from lscert.pep_builder import StepsizePattern, mat_pos
+from lscert.rates import ProblemScale, bound_at, rate_guarantee
 from oracles import interpolation_matrix, pep_matrices
 
 
@@ -314,6 +315,16 @@ class TestRateAtAnyScale:
         if proc.returncode == EXIT_OK:
             assert json.loads(proc.stdout)["bound"] >= 0
 
+    def test_bound_below_the_float_range_prints_positive(self):
+        tiny = decimal_literal(1, -400)
+        proc = rate_in_subprocess("--pattern-id", "t7", "--L", tiny, "--f0gap", tiny,
+                                  "--T", "7000000", "--json")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        obj = json.loads(proc.stdout)
+        # the least positive float, printed upward in the text line too
+        assert obj["bound"] == obj["sublinear_coefficient"] == 5e-324
+        assert obj["summary"].endswith("(sublinear phase): 4.940657e-324")
+
     @pytest.mark.parametrize("digits", [225, 400])
     def test_large_ratio_crossover(self, digits):
         # f0gap / (L D^2 Delta) = 10^digits: the bound at T = s_bar t is at most L D^2 Delta
@@ -329,6 +340,48 @@ class TestRateAtAnyScale:
         obj = json.loads(proc.stdout)
         assert obj["s_bar"] == s_bar and obj["phase"] == "contraction"
         assert obj["bound"] <= float(meta["delta"])
+
+
+class TestRateRoundsUp:
+    """The printed bound and coefficient are never below the exact ones."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(pid=st.sampled_from(["const1", "t2", "t7", "t127"]),
+           L=DECIMALS, D=DECIMALS, f0gap=DECIMALS, k=st.integers(1, 10 ** 9))
+    def test_printed_values_bound_the_exact_ones(self, pid, L, D, f0gap, k):
+        pattern, meta = bundled_pattern(pid), bundled_pattern_meta(pid)
+        T = k * pattern.t
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["rate", "--pattern-id", pid, "--L", L, "--D", D, "--f0gap", f0gap,
+                         "--T", str(T), "--json"])
+        if code != EXIT_OK:
+            return
+        obj = json.loads(out.getvalue())
+        scale = ProblemScale(rat_from_decimal(L), rat_from_decimal(D), rat_from_decimal(f0gap))
+        g = rate_guarantee(scale, pattern.sum_h, pattern.t, meta["epsilon"], meta["delta"])
+        exact = bound_at(T, scale, g)
+        assert Fraction(obj["bound"]) >= exact
+        assert Fraction(obj["sublinear_coefficient"]) >= scale.ld2 / g.avg_minus_eps
+        assert Fraction(obj["summary"].rsplit(" ", 1)[1]) >= Fraction(obj["bound"])
+        if exact > 0:
+            assert obj["bound"] > 0
+
+    @pytest.mark.parametrize("value", [0.0, 5e-324, 1e-5, 0.1, 1 / 3, 2 / 3,
+                                       1.7976931348623157e308])
+    def test_text_form_rounds_up(self, value):
+        near, text = f"{value:.6e}", _sci_up(value)
+        assert Fraction(text) >= Fraction(value)
+        if Fraction(near) >= Fraction(value):
+            assert text == near
+        else:  # one unit up in the last digit, in the same form
+            mantissa, exponent = near.split("e")
+            assert text == f"{float(mantissa) + 1e-6:.6f}e{exponent}"
+
+    def test_text_form_carries_into_the_exponent(self):
+        value = float(Fraction("9.9999991e-3"))
+        assert f"{value:.6e}" == "9.999999e-03"
+        assert _sci_up(value) == "1.000000e-02"
 
 
 class TestSimulate:

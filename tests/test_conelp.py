@@ -1,4 +1,4 @@
-"""The solver's svec layer, its factor-once Newton solves and its stall stop."""
+"""The solver's svec layer, its factor-once blocked Newton solves and its stall stop."""
 from fractions import Fraction as F
 
 import numpy as np
@@ -167,6 +167,117 @@ def test_failed_triangular_solve_moves_to_next_rung(monkeypatch):
     assert vars(events) == {"factorizations": 2, "jitter_retries": 1, "lstsq_fallbacks": 0}
 
 
+def schur_unblocked(schur, sc) -> np.ndarray:
+    """Reference: H = A' W^2 A with the LP part as one dense product."""
+    m = schur.A.shape[1]
+    H = np.zeros((m, m))
+    if len(schur.A_lp):
+        H += schur.A_lp.T @ (schur.A_lp * (sc.w ** 2)[:, None])
+    for T, R in zip(schur.blocks, sc.R):
+        U = conelp.svec_pack(np.matmul(np.matmul(R.T, T), R))
+        H += U @ U.T
+    return H
+
+
+def substitute_unblocked(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Reference: the solve through L and then L' as two dense solves."""
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+
+
+def sparse_lp_rows(n_rows: int, m: int, rng) -> np.ndarray:
+    """LP rows shaped like a t15 search's: three nonzeros each, at most 150
+    columns apart, so that column blocks 0 and 3 share no row; the last row
+    is all zero."""
+    A = np.zeros((n_rows, m))
+    for r in range(n_rows - 1):
+        c = rng.integers(m)
+        cols = np.minimum(c + rng.integers(0, 151, size=2), m - 1)
+        A[r, [c, *cols]] = rng.standard_normal(3)
+    return A
+
+
+def schur_problem(m: int, sparse: bool, rng):
+    dims = conelp.ConeDims(1312, (17, 17)) if sparse else conelp.ConeDims(m + 5, (3, 4))
+    A = rng.standard_normal((dims.total, m))
+    if sparse:
+        A[:dims.nonneg] = sparse_lp_rows(dims.nonneg, m, rng)
+    x, s = interior_point(dims, rng), interior_point(dims, rng)
+    return conelp._Schur(A, dims), conelp._Scaling(dims, x, s)
+
+
+def close(a: np.ndarray, b: np.ndarray) -> bool:
+    return float(np.max(np.abs(a - b))) <= 1e-12 * float(np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("m,sparse", [(7, False), (120, False), (128, False), (129, False),
+                                      (300, False), (496, True)],
+                         ids=["7", "120", "128", "129", "300", "t15-shaped"])
+def test_blocked_schur_matches_unblocked(m, sparse):
+    """At one block the blocked LP sum and substitution are the unblocked
+    calls bit for bit; past it they agree to rounding."""
+    rng = np.random.default_rng(m)
+    schur, sc = schur_problem(m, sparse, rng)
+    H, ref = schur.factor(sc), schur_unblocked(schur, sc)
+    chol = conelp._CholSolver(H, conelp._Events())
+    rhs = rng.standard_normal(m)
+    dy, dy_ref = chol.solve(rhs), substitute_unblocked(np.linalg.cholesky(H), rhs)
+    if m <= conelp.BLOCK:
+        assert same_bytes(H, ref)
+        assert same_bytes(dy, dy_ref)
+    else:
+        assert close(H, ref) and close(dy, dy_ref)
+    if sparse:
+        # of the six off-diagonal block pairs at m = 496, blocks 3 and 0
+        # share no row, and the all-zero row is gathered in no block
+        starts = [c.start for c, _, _ in schur.lp_blocks]
+        pairs = {(starts[i], starts[j]) for i, j, _, _ in schur.lp_pairs}
+        assert len(pairs) == 5 and (384, 0) not in pairs
+        assert all(len(schur.A_lp) - 1 not in rows for _, rows, _ in schur.lp_blocks)
+
+
+@pytest.mark.parametrize("kind", [spd, singular_psd, nearly_psd, indefinite])
+def test_jitter_ladder_counts_match_unblocked_above_one_block(kind, monkeypatch):
+    def newton_events(substitute) -> dict:
+        monkeypatch.setattr(conelp, "_substitute", substitute)
+        rng = np.random.default_rng(13)
+        H = kind(200, rng)
+        events = conelp._Events()
+        chol = conelp._CholSolver(H, events)
+        for _ in range(2):
+            newton_dy(chol.solve, H, rng.standard_normal(200))
+        return vars(events)
+
+    blocked = newton_events(conelp._substitute)
+    assert blocked == newton_events(substitute_unblocked)
+    assert blocked["factorizations"] + blocked["lstsq_fallbacks"] > 0
+
+
+def test_zero_rhs_start_is_the_least_squares_start(monkeypatch):
+    """Every certificate search has b = 0, and solve_conic starts x from
+    zero there: a run whose x start goes through the least squares of A'
+    instead ends on the same bytes."""
+    rng = np.random.default_rng(5)
+    dims = conelp.ConeDims(40, (5, 5))
+    A = rng.standard_normal((dims.total, 20))
+    b = np.zeros(20)
+    c = A @ rng.standard_normal(20) + interior_point(dims, rng)
+    default = conelp.solve_conic(A, b, c, dims)
+
+    shift, starts = conelp._shift_into_cone, []
+
+    def x_start_by_lstsq(dims, v, floor=1.0):
+        starts.append(v)
+        if len(starts) == 2:  # the first call shifts s, the second x
+            v = np.linalg.lstsq(A.T, b, rcond=None)[0]
+        return shift(dims, v, floor=floor)
+
+    monkeypatch.setattr(conelp, "_shift_into_cone", x_start_by_lstsq)
+    forced = conelp.solve_conic(A, b, c, dims)
+    assert len(starts) == 2 and not starts[1].any()
+    assert default.status == "optimal"
+    assert same_point(forced, default) and forced.summary() == default.summary()
+
+
 def conic_results(monkeypatch) -> list:
     """Record every ConicResult the search layer receives."""
     seen = []
@@ -226,6 +337,24 @@ def test_primal_solve_ends_optimal(monkeypatch):
     assert pv.status == res.status == "optimal"
     assert res.iterations == res.snapshot_iteration
     assert res.factorizations == res.iterations
+
+
+def test_small_search_keeps_the_unblocked_arithmetic(monkeypatch):
+    """t7's Schur order (120) is one block: the default run, a run with one
+    block at any order and a run through the unblocked formulas agree bit
+    for bit."""
+    seen = conic_results(monkeypatch)
+    pattern = bundled_pattern("t7")
+    runs = [sdp_search.solve_approx(pattern, 1e-5)]
+    monkeypatch.setattr(conelp, "BLOCK", 10 ** 9)
+    runs.append(sdp_search.solve_approx(pattern, 1e-5))
+    monkeypatch.setattr(conelp._Schur, "factor", schur_unblocked)
+    monkeypatch.setattr(conelp, "_substitute", substitute_unblocked)
+    runs.append(sdp_search.solve_approx(pattern, 1e-5))
+    assert seen[0].y.shape == (120,)
+    for fc, res in zip(runs[1:], seen[1:]):
+        assert fc.tobytes() == runs[0].tobytes()
+        assert same_point(res, seen[0]) and res.summary() == seen[0].summary()
 
 
 def test_float_certificate_carries_the_solver_summary():
