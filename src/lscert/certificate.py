@@ -3,20 +3,23 @@
 A certificate is a multiplier pair (lambda, gamma) together with the gap cap
 Delta and a slack eps. Membership in the certificate set is decided in exact
 rational arithmetic; a passing certificate proves the eps-relaxed descent
-guarantee for every normalized initial gap in [0, Delta].
+guarantee for every normalized initial gap in [0, Delta]. Floats may propose
+the factor of an exact PSD proof (``_proved_psd``); they never decide.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .exact_linalg import (PsdVerdict, RatMatrix, RationalParseError, SchurElimination,
-                           rat_from_decimal, rat_to_str)
+                           prove_psd, rat_from_decimal, rat_to_str)
 from .pep_builder import (
     PepOperator,
     StepsizePattern,
@@ -34,6 +37,11 @@ from .pep_builder import assemble_Z  # noqa: F401
 
 # Longest pattern a certificate file may declare: the verifier's supported range.
 MAX_T = 127
+
+# Smallest bordered block (order t + 2) on which a PSD accept is first tried as
+# an exact proof from a float-proposed factor: below it one elimination is
+# faster than the proposal (see README "Notes on exactness").
+PROOF_MIN_ORDER = 8
 
 
 class CertificateError(ValueError):
@@ -160,7 +168,14 @@ class MembershipReport:
     lambda_plus_delta_gamma_nonneg: NonnegVerdict
     psd_at_zero: PsdVerdict
     psd_at_delta: PsdVerdict
-    eps_min: Fraction | Infeasible  # smallest eps at which both PSD blocks hold
+    cert: Certificate = field(repr=False, compare=False)
+
+    @cached_property
+    def eps_min(self) -> Fraction | Infeasible:
+        """Smallest eps at which both PSD blocks hold, read off the
+        certificate's two eliminations (run here on first read, if no accept
+        needed them)."""
+        return _eps_min(self.cert)
 
     @property
     def overall(self) -> bool:
@@ -248,24 +263,68 @@ def _eps_min(cert: Certificate) -> Fraction | Infeasible:
     return max(values) / cert.t - cert.pattern.avg_h
 
 
+def _propose_factor(K: list[list[int]]) -> tuple[list[list[int]], list[int]] | None:
+    """A factor for ``exact_linalg.prove_psd``, or None.
+
+    Scale K by powers of two to a diagonal in [1/2, 2), take the float
+    Cholesky factor of that minus s I, and round it to integers on a 2^-52
+    grid. The float errors (the conversion, Cholesky's backward error and the
+    rounding) are bounded through the unit-size diagonal, whatever the
+    conditioning of K, and move a row of the remainder by at most about
+    ((n + 1)^2 + 1.5 n^1.5) 2^-52. The shift s = (n + 1)^2 2^-50 leaves at
+    least twice that on the remainder's diagonal.
+    """
+    e = []
+    for i, row in enumerate(K):
+        if row[i] <= 0:
+            return None
+        e.append(-(row[i].bit_length() // 2))
+    n = len(K)
+    try:
+        F = np.ldexp(np.array(K, dtype=float), np.add.outer(e, e))
+        C = np.linalg.cholesky(F - np.ldexp((n + 1) ** 2, -50) * np.eye(n))
+    except (OverflowError, np.linalg.LinAlgError):
+        return None
+    L = np.rint(np.ldexp(C, 52)).astype(np.int64).tolist()
+    return [row[:i + 1] for i, row in enumerate(L)], [x + 52 for x in e]
+
+
+def _proved_psd(cert: Certificate, delta: Fraction, rescaled: bool, corner: Fraction) -> bool:
+    """Whether [[corner, m'], [m, M]], with M = A/den and m = b/den from
+    ``cert.operator.block(delta, rescaled=rescaled)``, is proved PSD from a
+    float-proposed factor; False decides nothing. Blocks of order below
+    PROOF_MIN_ORDER are not tried."""
+    if cert.t + 2 < PROOF_MIN_ORDER:
+        return False
+    A, b, den = cert.operator.block(delta, rescaled=rescaled)
+    # den times the block's congruence by diag(q, 1, ..., 1), corner = p/q
+    p, q = corner.numerator, corner.denominator
+    N = [[p * q * den, *(q * x for x in b)]]
+    N += [[q * x, *row] for x, row in zip(b, A)]
+    return prove_psd(N, _propose_factor)
+
+
 def check_membership(cert: Certificate, *, allow_large_delta: bool = False) -> MembershipReport:
     """Decide membership of (lambda, gamma) in the certificate set, exactly.
 
     overall=True proves the pattern is epsilon-straightforward with
     parameter Delta: the worst-case gap after one pattern application is at
     most delta - sum(h_i - eps) * delta^2 for every normalized initial gap
-    delta in [0, Delta]. Each bordered block is decided through its trailing
-    block by one integer elimination; a reject carries an exact witness.
-    ``eps_min`` is read off the same two eliminations.
+    delta in [0, Delta]. Each bordered block is accepted by an exact proof
+    from a float-proposed factor, or else decided through its trailing block
+    by one integer elimination; a reject carries an exact witness. A
+    certificate that already holds its eliminations is decided by them alone.
+    ``eps_min`` is read off the two eliminations when it is first read.
     """
     _check_delta_precondition(cert, allow_large_delta)
-    e0, eD = cert.eliminations
-    return MembershipReport(
-        **_linear_verdicts(cert),
-        psd_at_zero=e0.bordered(cert.corner),
-        psd_at_delta=eD.bordered(cert.corner),
-        eps_min=_eps_min(cert),
-    )
+    psd = []
+    for k, delta in enumerate((Fraction(0), cert.Delta)):
+        if "eliminations" not in cert.__dict__ and _proved_psd(cert, delta, True, cert.corner):
+            psd.append(PsdVerdict(True))
+        else:
+            psd.append(cert.eliminations[k].bordered(cert.corner))
+    return MembershipReport(**_linear_verdicts(cert), psd_at_zero=psd[0], psd_at_delta=psd[1],
+                            cert=cert)
 
 
 def check_pointwise(cert: Certificate, delta: Fraction) -> bool:
@@ -289,7 +348,9 @@ def check_pointwise(cert: Certificate, delta: Fraction) -> bool:
     lo, hi = cert.nonneg_levels
     if not lo <= delta <= hi:
         return False
-    return op.eliminate(delta, rescaled=False).bordered(cert.corner * delta * delta).is_psd
+    corner = cert.corner * delta * delta
+    return (_proved_psd(cert, delta, False, corner)
+            or op.eliminate(delta, rescaled=False).bordered(corner).is_psd)
 
 
 def minimal_epsilon(

@@ -208,6 +208,13 @@ def _sci_up(f: float) -> str:
     return f"{digits // 10 ** 6}.{digits % 10 ** 6:06d}e{exponent:+03d}"
 
 
+def _fixed_up(q: Fraction, places: int) -> str:
+    """q written with ``places`` decimals, rounded up instead of to nearest."""
+    n = -(-q.numerator * 10 ** places // q.denominator)
+    whole, frac = divmod(abs(n), 10 ** places)
+    return f"{'-' if n < 0 else ''}{whole}.{frac:0{places}d}"
+
+
 def cmd_rate(args) -> CommandOutcome:
     if args.cert:
         cert = load_certificate(args.cert)
@@ -232,6 +239,7 @@ def cmd_rate(args) -> CommandOutcome:
     phase = "contraction" if s <= g.s_bar else "sublinear"
     try:
         bound, coefficient = _float_up(value), _float_up(scale.ld2 / g.avg_minus_eps)
+        factor = _float_up(g.contraction_factor)
     except OverflowError:
         raise UsageError("the bound exceeds the float range; it scales with f0gap and "
                          "L D^2, so scale both down by one factor") from None
@@ -239,7 +247,7 @@ def cmd_rate(args) -> CommandOutcome:
         "t": pattern.t,
         "s_bar": g.s_bar,
         "crossover_T": g.s_bar * pattern.t,
-        "contraction_factor_per_application": float(g.contraction_factor),
+        "contraction_factor_per_application": factor,
         "sublinear_coefficient": coefficient,
         "T": T,
         "phase": phase,
@@ -247,7 +255,7 @@ def cmd_rate(args) -> CommandOutcome:
     }
     summary = (
         f"s_bar = {g.s_bar} pattern applications (crossover at T = {g.s_bar * pattern.t});\n"
-        f"contraction phase: gap <= {float(g.contraction_factor):.9f}^s * f0gap;\n"
+        f"contraction phase: gap <= {_fixed_up(g.contraction_factor, 9)}^s * f0gap;\n"
         f"sublinear phase:   gap <= LD^2 / ((avg(h)-eps)(T - s_bar t) + 1/Delta);\n"
         f"bound at T={T} ({phase} phase): {_sci_up(bound)}")
     return CommandOutcome(EXIT_OK, summary, payload)

@@ -10,7 +10,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
 _DECIMAL_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?$")
 _FRACTION_RE = re.compile(r"^[+-]?[0-9]+/[0-9]+$")
@@ -379,6 +380,47 @@ def schur_eliminate(A: Sequence[Sequence[int]], b: Sequence[int], den: int) -> S
     if any(R[i][m - i] for i in range(m)):
         return SchurElimination(True, False, None, den, **done)
     return SchurElimination(True, True, Fraction(-R[m][0], prev * den), den, **done)
+
+
+def prove_psd(N: Sequence[Sequence[int]],
+              propose: Callable[[list[list[int]]], tuple[list, list[int]] | None]) -> bool:
+    """True only when the symmetric integer matrix N is proved PSD; False
+    decides nothing.
+
+    Rows and columns that are all zero are dropped, which keeps the decision.
+    ``propose`` gets the block K left and returns None or (L, e): integer rows
+    of a factor (trailing zeros may be left off) and one power-of-two exponent
+    per row. With D = diag(2^e), the proof holds when E = D K D - L L' has a
+    nonnegative diagonal and is diagonally dominant. Then E is PSD, and so is
+    K, congruent to L L' + E. Both tests run on E times 4^-min(e, 0), which is
+    an integer matrix, so whatever ``propose`` returns, an accept is exact.
+    """
+    keep = [i for i, row in enumerate(N) if any(row)]
+    K = [[N[i][j] for j in keep] for i in keep]
+    if not K:
+        return True
+    proposal = propose(K)
+    if proposal is None:
+        return False
+    L, e = proposal
+    if len(L) != len(K) or len(e) != len(K):
+        raise ValueError("a proposed factor needs one row and one exponent per kept row")
+    up = -2 * min(0, *e)
+    off = [0] * len(K)  # off-diagonal absolute row sums of E * 4^-min(e, 0)
+    diag = []
+    for i, (Ki, Li) in enumerate(zip(K, L)):
+        s = e[i] + up
+        for j, (k, Lj) in enumerate(zip(Ki[:i], L)):
+            x = abs((k << (s + e[j])) - (sum(map(mul, Li, Lj)) << up))
+            off[i] += x
+            off[j] += x
+        diag.append((Ki[i] << (s + e[i])) - (sum(map(mul, Li, Li)) << up))
+    for d, o in zip(diag, off):
+        if d < 0:
+            return False
+        if abs(d) < o:  # dominance as defined, |E_ii| >= sum_j |E_ij|
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -235,8 +235,9 @@ class PepOperator:
         self._A = (rows[:n], rows[n:2 * n])
         self._b = (rows[2 * n], rows[2 * n + 1])
 
-    def eliminate(self, delta: Fraction, *, rescaled: bool) -> SchurElimination:
-        """One elimination of the trailing block M(lambda + delta*gamma) and a border.
+    def block(self, delta: Fraction, *, rescaled: bool) -> tuple[list[list[int]], list[int], int]:
+        """(A, b, den): the trailing block M(lambda + delta*gamma) = A/den and a
+        border b/den, in integers.
 
         rescaled=True: the border is m(gamma), as in the membership blocks,
         whose first row and column are Z's divided by delta (given m(lambda)
@@ -250,7 +251,11 @@ class PepOperator:
             b = [q * g for g in b_gam]
         else:
             b = [q * a + p * g for a, g in zip(b_lam, b_gam)]
-        return schur_eliminate(A, b, q * self.den)
+        return A, b, q * self.den
+
+    def eliminate(self, delta: Fraction, *, rescaled: bool) -> SchurElimination:
+        """One elimination of ``block(delta, rescaled=rescaled)``."""
+        return schur_eliminate(*self.block(delta, rescaled=rescaled))
 
 
 def assemble_Z(h: StepsizePattern, eps: Fraction, lam: RatMatrix, delta: Fraction) -> RatMatrix:

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lscert.certificate
-from lscert.bundled import bundled_pattern, bundled_pattern_meta, certificate_path
-from lscert.cli import EXIT_FALSE, EXIT_OK, EXIT_USAGE, _sci_up, main
+from lscert.bundled import (bundled_pattern, bundled_pattern_meta, certificate_path,
+                            pattern_ids)
+from lscert.cli import EXIT_FALSE, EXIT_OK, EXIT_USAGE, _fixed_up, _sci_up, main
 from lscert.exact_linalg import rat_from_decimal, rat_to_str
 from lscert.pep_builder import StepsizePattern, mat_pos
 from lscert.rates import ProblemScale, bound_at, rate_guarantee
@@ -382,6 +383,30 @@ class TestRateRoundsUp:
         value = float(Fraction("9.9999991e-3"))
         assert f"{value:.6e}" == "9.999999e-03"
         assert _sci_up(value) == "1.000000e-02"
+
+    @pytest.mark.parametrize("pid", pattern_ids())
+    def test_contraction_factor_bounds_the_exact_one(self, capsys, pid):
+        pattern, meta = bundled_pattern(pid), bundled_pattern_meta(pid)
+        code, out, _ = run(capsys, "rate", "--pattern-id", pid, "--T", str(pattern.t), "--json")
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        exact = rate_guarantee(ProblemScale(Fraction(1), Fraction(1), Fraction(1)), pattern.sum_h,
+                               pattern.t, meta["epsilon"], meta["delta"]).contraction_factor
+        text = obj["summary"].split("gap <= ", 1)[1].split("^s", 1)[0]
+        assert Fraction(obj["contraction_factor_per_application"]) >= exact
+        assert exact <= Fraction(text) < exact + Fraction(1, 10 ** 9)
+        assert len(text.split(".")[1]) == 9
+
+    def test_t7_contraction_factor_text_rounds_up(self, capsys):
+        # exact 0.99977600000007..., which rounding to nearest printed as 0.999776000
+        code, out, _ = run(capsys, "rate", "--pattern-id", "t7", "--T", "7")
+        assert code == EXIT_OK and "gap <= 0.999776001^s * f0gap" in out
+
+    @pytest.mark.parametrize("q, text", [(Fraction(1, 3), "0.334"), (Fraction(1, 2), "0.500"),
+                                         (Fraction(-1, 3), "-0.333"), (Fraction(-1, 2000), "0.000"),
+                                         (Fraction(7), "7.000")])
+    def test_fixed_up(self, q, text):
+        assert _fixed_up(q, 3) == text
 
 
 class TestSimulate:
