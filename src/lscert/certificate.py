@@ -13,26 +13,20 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .exact_linalg import (PsdVerdict, RatMatrix, RationalParseError, SchurElimination,
-                           prove_psd, rat_from_decimal, rat_to_str)
-from .pep_builder import (
-    PepOperator,
-    StepsizePattern,
-    index_set,
-    m_vec,
-    M_mat,
-    sum_a,
-)
+                           integer_rows, prove_psd, rat_from_decimal, rat_to_str)
+from .pep_builder import PepOperator, StepsizePattern, index_set
 
-# The Fraction route the integer eliminations replaced (assemble Z, then LDL'
+# The Fraction route the integer forms replaced (M_mat, assemble Z, then LDL'
 # and rref) stays importable from here, where the benchmark's tracer rebinds it.
 from .exact_linalg import psd_check, solve_exact  # noqa: F401
-from .pep_builder import assemble_Z  # noqa: F401
+from .pep_builder import M_mat, assemble_Z  # noqa: F401
 
 
 # Longest pattern a certificate file may declare: the verifier's supported range.
@@ -42,6 +36,10 @@ MAX_T = 127
 # an exact proof from a float-proposed factor: below it one elimination is
 # faster than the proposal (see README "Notes on exactness").
 PROOF_MIN_ORDER = 8
+
+
+# (den, N): the matrix N/den, as integer rows over one denominator
+ScaledRows = tuple[int, list[list[int]]]
 
 
 class CertificateError(ValueError):
@@ -97,28 +95,47 @@ class Certificate:
 
     def with_epsilon(self, epsilon: Fraction) -> Certificate:
         """The same pair at another eps. eps enters only the corner, so the copy
-        shares whatever operator, eliminations and nonnegativity levels this
-        certificate has computed."""
-        cert = replace(self, epsilon=epsilon)
-        for name in ("operator", "eliminations", "nonneg_levels"):
+        shares whatever integer forms, operator, eliminations and nonnegativity
+        levels this certificate has computed."""
+        return self._sharing(replace(self, epsilon=epsilon),
+                             (*_PAIR_FORMS, "eliminations", "nonneg_levels"))
+
+    def with_delta(self, Delta: Fraction) -> Certificate:
+        """The same pair at another gap cap, sharing this certificate's operator
+        (built here if it was not yet) and integer forms: they do not depend on
+        Delta, the eliminations and the nonnegativity levels do."""
+        cert = replace(self, Delta=Delta)
+        cert.__dict__["operator"] = self.operator
+        return self._sharing(cert, _PAIR_FORMS)
+
+    def _sharing(self, cert: Certificate, names: Sequence[str]) -> Certificate:
+        for name in names:
             if name in self.__dict__:
                 cert.__dict__[name] = self.__dict__[name]
         return cert
 
-    def with_delta(self, Delta: Fraction) -> Certificate:
-        """The same pair at another gap cap, sharing this certificate's operator
-        (built here if it was not yet): the operator does not depend on Delta,
-        the eliminations and the nonnegativity levels do."""
-        cert = replace(self, Delta=Delta)
-        cert.__dict__["operator"] = self.operator
-        return cert
+    @cached_property
+    def integer_form(self) -> tuple[ScaledRows, ScaledRows]:
+        """((d_lam, L), (d_gam, G)): lambda = L/d_lam and gamma = G/d_gam as
+        integer rows over their least common denominators. Every linear
+        condition is decided on these."""
+        return (integer_rows([self.lam.row(p) for p in range(self.lam.rows)]),
+                integer_rows([self.gam.row(p) for p in range(self.gam.rows)]))
 
     @cached_property
     def operator(self) -> PepOperator:
-        """The operator of the multiplier pair: two calls of M_mat, one per multiplier."""
-        h, lam, gam = self.pattern, self.lam, self.gam
-        return PepOperator(M_mat(h, lam), M_mat(h, gam), m_vec(h, lam), m_vec(h, gam),
-                           sum_a(h, lam), sum_a(h, gam))
+        """The operator of the multiplier pair, from its integer form."""
+        return PepOperator(self.pattern, *self.integer_form)
+
+    @cached_property
+    def balance(self) -> tuple[tuple[int, list[int]], tuple[int, list[int]]]:
+        """((D_lam, E_lam), (D_gam, E_gam)): the residuals of the two equality
+        conditions, sum_a(lambda) - rhs_lambda = E_lam/D_lam and
+        sum_a(gamma) - rhs_gamma = E_gam/D_gam, in integers. At a gap level
+        delta the multiplier equality reads E_lam/D_lam + delta E_gam/D_gam = 0."""
+        op = self.operator
+        return (_residual(op.sums[0], op.sum_dens[0], _rhs_lambda(self.t)),
+                _residual(op.sums[1], op.sum_dens[1], _rhs_gamma(self.pattern)))
 
     @cached_property
     def eliminations(self) -> tuple[SchurElimination, SchurElimination]:
@@ -132,18 +149,11 @@ class Certificate:
     def nonneg_levels(self) -> tuple[Fraction, Fraction]:
         """[lo, hi]: the gap levels in [0, Delta] at which lambda + delta*gamma is
         nonnegative off the diagonal, exactly (empty when lo > hi)."""
-        lo, hi = Fraction(0), self.Delta
-        for p in range(self.t + 2):
-            for q, (lv, gv) in enumerate(zip(self.lam.row(p), self.gam.row(p))):
-                if p == q:
-                    continue
-                if gv > 0:
-                    lo = max(lo, -lv / gv)
-                elif gv < 0:
-                    hi = min(hi, lv / -gv)
-                elif lv < 0:
-                    return Fraction(1), Fraction(0)
-        return lo, hi
+        return _gap_window(*self.integer_form, self.Delta)
+
+
+# Cached forms of a Certificate that depend on the multiplier pair alone.
+_PAIR_FORMS = ("integer_form", "operator", "balance")
 
 
 @dataclass(frozen=True)
@@ -223,29 +233,74 @@ def _rhs_gamma(pattern: StepsizePattern) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _equality_verdict(lhs: Sequence[Fraction], rhs: Sequence[Fraction]) -> EqualityVerdict:
-    residual = tuple(a - b for a, b in zip(lhs, rhs))
-    return EqualityVerdict(all(v == 0 for v in residual), residual)
+def _residual(sums: Sequence[int], den: int,
+              rhs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, E) with sums/den - rhs = E/D entrywise, in integers."""
+    D = den * lcm(*(r.denominator for r in rhs))
+    return D, [v * (D // den) - r.numerator * (D // r.denominator) for v, r in zip(sums, rhs)]
 
 
-def _nonneg_verdict(mat: RatMatrix, t: int) -> NonnegVerdict:
+def _equality_verdict(residual: Sequence[int], den: int) -> EqualityVerdict:
+    """The verdict on an integer residual over den, reported as Fractions."""
+    return EqualityVerdict(not any(residual), tuple(Fraction(v, den) for v in residual))
+
+
+def _nonneg_verdict(rows: Sequence[Sequence[int]], den: int, t: int) -> NonnegVerdict:
+    """Whether rows/den is nonnegative off its diagonal: a sign test per entry,
+    and a Fraction only for an offending one."""
     labels = [str(i) for i in index_set(t)]
-    bad = tuple((labels[p], labels[q], v) for p in range(t + 2)
-                for q, v in enumerate(mat.row(p)) if v < 0 and p != q)
+    bad = tuple((labels[p], labels[q], Fraction(v, den)) for p, row in enumerate(rows)
+                for q, v in enumerate(row) if v < 0 and p != q)
     return NonnegVerdict(not bad, bad)
 
 
+def _gap_window(lam: ScaledRows, gam: ScaledRows, Delta: Fraction) -> tuple[Fraction, Fraction]:
+    """``Certificate.nonneg_levels`` of lambda = L/d_lam and gamma = G/d_gam.
+
+    Each bound is a ratio -L_pq / G_pq times d_gam / d_lam, so the ratios are
+    compared as cross-multiplied integers, and one Fraction is built per end."""
+    (d_lam, L), (d_gam, G) = lam, gam
+    lo_n, lo_d = 0, 1                                                    # 0
+    hi_n, hi_d = Delta.numerator * d_lam, Delta.denominator * d_gam      # Delta
+    for p, (row_l, row_g) in enumerate(zip(L, G)):
+        for q, (lv, gv) in enumerate(zip(row_l, row_g)):
+            if p == q:
+                continue
+            if gv > 0:
+                if -lv * lo_d > lo_n * gv:
+                    lo_n, lo_d = -lv, gv
+            elif gv < 0:
+                if lv * hi_d < hi_n * -gv:
+                    hi_n, hi_d = lv, -gv
+            elif lv < 0:
+                return Fraction(1), Fraction(0)
+    return Fraction(lo_n * d_gam, lo_d * d_lam), Fraction(hi_n * d_gam, hi_d * d_lam)
+
+
+def _balanced_at(cert: Certificate, delta: Fraction) -> bool:
+    """The multiplier equality at gap level delta,
+    sum_a(lambda + delta*gamma) = rhs_lambda + delta*rhs_gamma, in integers."""
+    (D_lam, E_lam), (D_gam, E_gam) = cert.balance
+    ql, pg = delta.denominator * D_gam, delta.numerator * D_lam
+    return not any(ql * el + pg * eg for el, eg in zip(E_lam, E_gam))
+
+
 def _linear_verdicts(cert: Certificate) -> dict:
-    """The equality and nonnegativity conditions, keyed as in MembershipReport."""
-    op = cert.operator
+    """The equality and nonnegativity conditions, keyed as in MembershipReport,
+    decided on the certificate's integer form."""
+    (d_lam, L), (d_gam, G) = cert.integer_form
+    (D_lam, E_lam), (D_gam, E_gam) = cert.balance
+    # lambda + Delta*gamma over q*d_lam*d_gam, for Delta = p/q
+    p, q = cert.Delta.numerator, cert.Delta.denominator
+    ql, pg = q * d_gam, p * d_lam
+    combined = [[ql * a + pg * g for a, g in zip(ra, rg)] for ra, rg in zip(L, G)]
     t = cert.t
     return {
-        "eq_lambda": _equality_verdict(op.sum_lam, _rhs_lambda(t)),
-        "eq_gamma": _equality_verdict(op.sum_gam, _rhs_gamma(cert.pattern)),
-        "m_lambda_zero": _equality_verdict(op.m_lam, (Fraction(0),) * (t + 1)),
-        "lambda_nonneg": _nonneg_verdict(cert.lam, t),
-        "lambda_plus_delta_gamma_nonneg": _nonneg_verdict(
-            cert.lam + cert.gam.scale(cert.Delta), t),
+        "eq_lambda": _equality_verdict(E_lam, D_lam),
+        "eq_gamma": _equality_verdict(E_gam, D_gam),
+        "m_lambda_zero": _equality_verdict([-v for v in L[0][1:]], 2 * d_lam),
+        "lambda_nonneg": _nonneg_verdict(L, d_lam, t),
+        "lambda_plus_delta_gamma_nonneg": _nonneg_verdict(combined, q * d_lam * d_gam, t),
     }
 
 
@@ -337,20 +392,14 @@ def check_pointwise(cert: Certificate, delta: Fraction) -> bool:
     if not (0 <= delta <= cert.Delta):
         raise PreconditionError(
             f"delta={rat_to_str(delta)} outside [0, Delta={rat_to_str(cert.Delta)}]")
-    h = cert.pattern
-    op = cert.operator
-    # multiplier equality at this gap level
-    rhs = list(_rhs_lambda(h.t))
-    rhs[0] = -(1 - 2 * h.sum_h * delta)
-    rhs[h.t] = Fraction(1)
-    if tuple(a + delta * b for a, b in zip(op.sum_lam, op.sum_gam)) != tuple(rhs):
+    if not _balanced_at(cert, delta):
         return False
     lo, hi = cert.nonneg_levels
     if not lo <= delta <= hi:
         return False
     corner = cert.corner * delta * delta
     return (_proved_psd(cert, delta, False, corner)
-            or op.eliminate(delta, rescaled=False).bordered(corner).is_psd)
+            or cert.operator.eliminate(delta, rescaled=False).bordered(corner).is_psd)
 
 
 def minimal_epsilon(

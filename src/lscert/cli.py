@@ -81,6 +81,19 @@ class UsageError(ValueError):
 
 # --- verify -----------------------------------------------------------------
 
+def _float_or_none(q: Fraction) -> float | None:
+    """float(q), or None past the float range (written null in JSON)."""
+    try:
+        return float(q)
+    except OverflowError:
+        return None
+
+
+def _approx(exact: str, value: float | None, spec: str) -> str:
+    """value in the format spec, or the exact rational where it has no float."""
+    return exact if value is None else format(value, spec)
+
+
 def _verify_one(path: str, recompute_eps: bool, pointwise: int,
                 allow_large_delta: bool) -> dict:
     cert = load_certificate(path)
@@ -100,7 +113,7 @@ def _verify_one(path: str, recompute_eps: bool, pointwise: int,
     if report.overall:
         g = guarantee_of(cert, report)
         entry["rate_coefficient"] = rat_to_str(g.avg_minus_eps)
-        entry["rate_coefficient_float"] = float(g.avg_minus_eps)
+        entry["rate_coefficient_float"] = _float_or_none(g.avg_minus_eps)
         entry["provenance"] = g.provenance
     if recompute_eps:
         em = report.eps_min
@@ -109,7 +122,7 @@ def _verify_one(path: str, recompute_eps: bool, pointwise: int,
             entry["eps_min_note"] = em.reason
         else:
             entry["eps_min"] = rat_to_str(em)
-            entry["eps_min_float"] = float(em)
+            entry["eps_min_float"] = _float_or_none(em)
             entry["eps_min_covered_by_stored"] = bool(em <= cert.epsilon)
     if pointwise:
         ok = all(check_pointwise(cert, cert.Delta * k / pointwise)
@@ -137,14 +150,16 @@ def cmd_verify(args) -> CommandOutcome:
             lines.append(
                 f"PASS {e['path']}: h=({e['h']}) is epsilon-straightforward with "
                 f"eps={e['epsilon']} (Delta={e['delta']}, rate coefficient "
-                f"{e.get('rate_coefficient', '?')} ~= {e.get('rate_coefficient_float', 0):.7f})")
+                f"{e['rate_coefficient']} ~= "
+                f"{_approx(e['rate_coefficient'], e['rate_coefficient_float'], '.7f')})")
         else:
             failing = [k for k, v in e["conditions"].items() if not v]
             if e.get("pointwise_ok") is False:
                 failing.append("pointwise")
             lines.append(f"FAIL {e['path']}: failing conditions: {', '.join(failing)}")
         if "eps_min" in e and e["eps_min"] is not None:
-            lines.append(f"     eps_min = {e['eps_min']} (~{e['eps_min_float']:.3e})")
+            lines.append(f"     eps_min = {e['eps_min']} "
+                         f"(~{_approx(e['eps_min'], e['eps_min_float'], '.3e')})")
     all_ok = all(e["overall"] for e in entries)
     return CommandOutcome(EXIT_OK if all_ok else EXIT_FALSE, "\n".join(lines),
                           {"certificates": entries})

@@ -40,7 +40,8 @@ def rat_from_decimal(text: str) -> Fraction:
         raise RationalParseError(
             f"rational literal of {len(s)} characters exceeds the limit of {MAX_LITERAL_CHARS}")
     if _DECIMAL_RE.match(s):
-        return Fraction(s)
+        whole, _, frac = s.partition(".")
+        return Fraction(int(whole + frac), 10 ** len(frac))
     if _FRACTION_RE.match(s):
         num, den = s.split("/")
         if int(den) == 0:
@@ -87,7 +88,7 @@ class RatMatrix:
             if len(r) != cols:
                 raise ValueError("ragged rows")
             flat.extend(r)
-        return cls(rows, cols, [_as_fraction(v) for v in flat])
+        return cls(rows, cols, flat)
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "RatMatrix":

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .exact_linalg import (
@@ -58,6 +59,12 @@ class StepsizePattern:
     @cached_property
     def sum_h(self) -> Fraction:
         return sum(self.h, Fraction(0))
+
+    @cached_property
+    def integer_form(self) -> tuple[int, list[int]]:
+        """(dh, hs): h as integers hs over their least common denominator dh."""
+        dh, (hs,) = integer_rows([self.h])
+        return dh, hs
 
     @property
     def avg_h(self) -> Fraction:
@@ -144,13 +151,17 @@ def _check_multiplier_shape(h: StepsizePattern, arg: RatMatrix, name: str) -> No
         raise ValueError(f"{name} must be {dim}x{dim} for t={h.t}, got {arg.rows}x{arg.cols}")
 
 
+def _balance(a: Sequence[Sequence[int]]) -> list[int]:
+    """sum_a of the multiplier a/den, times den: entry k is the off-diagonal
+    sum of column k minus that of row k (the diagonal cancels)."""
+    return [sum(r[k] for r in a) - sum(a[k]) for k in range(1, len(a))]
+
+
 def sum_a(h: StepsizePattern, arg: RatMatrix) -> tuple[Fraction, ...]:
-    """sum_{i != j} arg_{i,j} a_{i,j}. Since a_{i,j} = f_j - f_i, entry k is the
-    off-diagonal sum of column k minus that of row k (the diagonal cancels)."""
+    """sum_{i != j} arg_{i,j} a_{i,j}, with a_{i,j} = f_j - f_i."""
     _check_multiplier_shape(h, arg, "multiplier matrix")
-    n = h.t + 2
-    den, a = integer_rows([arg.row(p) for p in range(n)])
-    return tuple(Fraction(sum(r[k] for r in a) - sum(a[k]), den) for k in range(1, n))
+    den, a = integer_rows([arg.row(p) for p in range(h.t + 2)])
+    return tuple(Fraction(v, den) for v in _balance(a))
 
 
 def m_vec(h: StepsizePattern, arg: RatMatrix) -> tuple[Fraction, ...]:
@@ -164,20 +175,19 @@ def m_vec(h: StepsizePattern, arg: RatMatrix) -> tuple[Fraction, ...]:
     return tuple(-half * arg.entry(0, mat_pos(j, t)) for j in range(t + 1))
 
 
-def M_mat(h: StepsizePattern, arg: RatMatrix) -> RatMatrix:
-    """Trailing (t+1)x(t+1) block of sum arg_{i,j} (A_{i,j} + C_{i,j}/2), in O(t^2).
+def M_rows(h: StepsizePattern, a: Sequence[Sequence[int]]) -> list[list[int]]:
+    """``M_mat`` in integers: for a multiplier given as integer rows a = arg * da,
+    the trailing block times 2 * da * dh, where dh is h's common denominator
+    (``h.integer_form``). O(t^2).
 
     A part: coordinate k of x_i - x_j is h_k when i <= k < j (or i = *, k < j)
     and -h_k when j <= k < i, so column j collects h_k * (T_j - S_j(k)) for
     k < j and -h_k * S_j(k) for k >= j, with S_j(k) = sum_{i > k} arg_{i,j}
     and T_j = arg_{*,j} + sum_i arg_{i,j}. C part: (g_i - g_j)(g_i - g_j)'/2.
     """
-    _check_multiplier_shape(h, arg, "multiplier matrix")
     t = h.t
     n = t + 1
-    # integers over den = 2 * da * dh: a = arg * da, hs = h * dh
-    da, a = integer_rows([arg.row(p) for p in range(n + 1)])
-    dh, (hs,) = integer_rows([h.h])
+    dh, hs = h.integer_form
     M = [[0] * n for _ in range(n)]
     for j in range(n):
         col = [a[i + 1][j + 1] for i in range(n)]  # arg_{i,j}, i = 0..t
@@ -199,8 +209,17 @@ def M_mat(h: StepsizePattern, arg: RatMatrix) -> RatMatrix:
             c = dh * (col[i] + a[j + 1][i + 1])
             M[i][j] -= c
             M[j][i] -= c
-    den = 2 * da * dh
-    return RatMatrix(n, n, [Fraction(v, den) for row in M for v in row])
+    return M
+
+
+def M_mat(h: StepsizePattern, arg: RatMatrix) -> RatMatrix:
+    """Trailing (t+1)x(t+1) block of sum arg_{i,j} (A_{i,j} + C_{i,j}/2), in O(t^2)
+    through ``M_rows``."""
+    _check_multiplier_shape(h, arg, "multiplier matrix")
+    n = h.t + 1
+    da, a = integer_rows([arg.row(p) for p in range(n + 1)])
+    den = 2 * da * h.integer_form[0]
+    return RatMatrix(n, n, [Fraction(v, den) for row in M_rows(h, a) for v in row])
 
 
 def bordered(corner: Fraction, m: Sequence[Fraction], M: RatMatrix) -> RatMatrix:
@@ -215,25 +234,39 @@ def bordered(corner: Fraction, m: Sequence[Fraction], M: RatMatrix) -> RatMatrix
 
 
 class PepOperator:
-    """M, m and sum_a of one multiplier pair (lambda, gamma), built once.
+    """M, m and sum_a of one multiplier pair (lambda, gamma), built once from
+    their integer rows (``Certificate.integer_form``).
 
     All three maps are linear in the multiplier, so at any gap level
     M(lambda + delta*gamma) = M(lambda) + delta*M(gamma), and likewise for m
     and sum_a. The trailing blocks and borders are kept as integer rows over
-    one common denominator, so that a gap level costs one integer elimination
-    and no Fraction arithmetic; m(lambda) and the sums, which the equality
-    conditions read, stay exact Fractions.
+    one common denominator ``den``, so that a gap level costs one integer
+    elimination and no Fraction arithmetic. ``den`` is the least common
+    denominator of all their entries, the one ``integer_rows`` of the four as
+    Fractions would give, so the integers are the same. The sums, which the
+    equality conditions read, are kept as integers too: ``sums[k]`` over
+    ``sum_dens[k]``, for lambda (k = 0) and gamma (k = 1).
     """
 
-    def __init__(self, M_lam: RatMatrix, M_gam: RatMatrix, m_lam: tuple[Fraction, ...],
-                 m_gam: tuple[Fraction, ...], sum_lam: tuple[Fraction, ...],
-                 sum_gam: tuple[Fraction, ...]):
-        self.m_lam = m_lam
-        self.sum_lam, self.sum_gam = sum_lam, sum_gam
-        n = M_lam.rows
-        self.den, rows = integer_rows([*M_lam.to_rows(), *M_gam.to_rows(), m_lam, m_gam])
-        self._A = (rows[:n], rows[n:2 * n])
-        self._b = (rows[2 * n], rows[2 * n + 1])
+    def __init__(self, h: StepsizePattern, lam: tuple[int, list[list[int]]],
+                 gam: tuple[int, list[list[int]]]):
+        dh = h.integer_form[0]
+        parts = []
+        for d, a in (lam, gam):
+            # M and m (m_j = -arg_{*,j}/2) over 2 * d * dh, reduced by the gcd
+            # of that denominator and all their entries
+            M, m = M_rows(h, a), [-x * dh for x in a[0][1:]]
+            g = gcd(2 * d * dh, *(v for row in M for v in row), *m)
+            parts.append((2 * d * dh // g, g, M, m))
+        self.den = lcm(parts[0][0], parts[1][0])
+        A, b = [], []
+        for den, g, M, m in parts:
+            s = self.den // den
+            A.append([[v // g * s for v in row] for row in M])
+            b.append([v // g * s for v in m])
+        self._A, self._b = tuple(A), tuple(b)
+        self.sum_dens = (lam[0], gam[0])
+        self.sums = (_balance(lam[1]), _balance(gam[1]))
 
     def block(self, delta: Fraction, *, rescaled: bool) -> tuple[list[list[int]], list[int], int]:
         """(A, b, den): the trailing block M(lambda + delta*gamma) = A/den and a

@@ -7,7 +7,10 @@ coordinate i+1 carries g_i (L = 1). This costs O(t^4) for all pairs; the
 tests use it as the definition that pep_builder's pair table and closed
 forms must reproduce.
 
-It also keeps the rate bounds' first algorithm: s_bar by doubling and
+It also keeps the Fraction route of the certificate's linear conditions
+(nonnegativity, the gap window, the balance equality at a gap level) and of
+the operator's integer blocks, which the certificate's integer forms replaced,
+and the rate bounds' first algorithm: s_bar by doubling and
 bisection over fixed-point intervals of absolute resolution, and the
 contraction-phase bound at 192 bits.
 """
@@ -17,9 +20,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from lscert.certificate import Certificate
-from lscert.exact_linalg import RatMatrix
-from lscert.pep_builder import STAR, StepsizePattern, bordered, index_pairs, mat_pos
+from lscert.certificate import (Certificate, EqualityVerdict, NonnegVerdict, _rhs_gamma,
+                                _rhs_lambda)
+from lscert.exact_linalg import RatMatrix, integer_rows
+from lscert.pep_builder import STAR, StepsizePattern, bordered, index_pairs, index_set, mat_pos
 from lscert.rates import ProblemScale, RateGuarantee, UnsupportedRegimeError
 
 
@@ -113,6 +117,98 @@ def psd_blocks(cert: Certificate) -> tuple[RatMatrix, RatMatrix]:
     M_lam = trailing(S_lam)
     return (bordered(cert.corner, m_gam, M_lam),
             bordered(cert.corner, m_gam, M_lam + trailing(S_gam).scale(cert.Delta)))
+
+
+@lru_cache(maxsize=None)
+def _balance_terms(h: StepsizePattern) -> tuple:
+    """Per pair: its multiplier position and its a_{i,j} = f_j - f_i."""
+    return tuple(((mat_pos(i, h.t), mat_pos(j, h.t)), pm["a"])
+                 for (i, j), pm in pep_matrices(h).items())
+
+
+def dense_sums(h: StepsizePattern, arg: RatMatrix) -> tuple[Fraction, ...]:
+    """sum_{i != j} arg_{i,j} a_{i,j}, summed pair by pair."""
+    out = [Fraction(0)] * (h.t + 1)
+    for pos, a in _balance_terms(h):
+        c = arg.entry(*pos)
+        for k, v in enumerate(a):
+            out[k] += c * v
+    return tuple(out)
+
+
+def _trailing(S: RatMatrix) -> list[list[Fraction]]:
+    return [list(S.row(r)[1:]) for r in range(1, S.rows)]
+
+
+def nonneg_verdict(mat: RatMatrix, t: int) -> NonnegVerdict:
+    """Whether mat is nonnegative off its diagonal, entry by entry in Fractions."""
+    labels = [str(i) for i in index_set(t)]
+    bad = tuple((labels[p], labels[q], v) for p in range(t + 2)
+                for q, v in enumerate(mat.row(p)) if v < 0 and p != q)
+    return NonnegVerdict(not bad, bad)
+
+
+def linear_verdicts(cert: Certificate) -> dict:
+    """The equality and nonnegativity conditions of check_membership, with the
+    sums and m taken from the dense pair matrices and lambda + Delta*gamma
+    formed as a matrix of Fractions."""
+    h, t = cert.pattern, cert.t
+
+    def eq(lhs, rhs):
+        residual = tuple(a - b for a, b in zip(lhs, rhs))
+        return EqualityVerdict(all(v == 0 for v in residual), residual)
+
+    return {
+        "eq_lambda": eq(dense_sums(h, cert.lam), _rhs_lambda(t)),
+        "eq_gamma": eq(dense_sums(h, cert.gam), _rhs_gamma(h)),
+        "m_lambda_zero": eq(dense_slack(h, cert.lam).row(0)[1:], (Fraction(0),) * (t + 1)),
+        "lambda_nonneg": nonneg_verdict(cert.lam, t),
+        "lambda_plus_delta_gamma_nonneg": nonneg_verdict(
+            cert.lam + cert.gam.scale(cert.Delta), t),
+    }
+
+
+def gap_window(lam: RatMatrix, gam: RatMatrix, Delta: Fraction) -> tuple[Fraction, Fraction]:
+    """[lo, hi] in [0, Delta] where lam + delta*gam is nonnegative off the
+    diagonal, one Fraction ratio per entry; (1, 0) when a negative lam entry
+    meets a zero gam entry."""
+    lo, hi = Fraction(0), Delta
+    for p in range(lam.rows):
+        for q, (lv, gv) in enumerate(zip(lam.row(p), gam.row(p))):
+            if p == q:
+                continue
+            if gv > 0:
+                lo = max(lo, -lv / gv)
+            elif gv < 0:
+                hi = min(hi, lv / -gv)
+            elif lv < 0:
+                return Fraction(1), Fraction(0)
+    return lo, hi
+
+
+def balanced_at(cert: Certificate, delta: Fraction) -> bool:
+    """sum_a(lambda + delta*gamma) equals its right-hand side at gap level delta."""
+    h = cert.pattern
+    rhs = [Fraction(0)] * (h.t + 1)
+    rhs[0], rhs[h.t] = -(1 - 2 * h.sum_h * delta), Fraction(1)
+    lam, gam = dense_sums(h, cert.lam), dense_sums(h, cert.gam)
+    return tuple(a + delta * b for a, b in zip(lam, gam)) == tuple(rhs)
+
+
+def operator_block(cert: Certificate, delta: Fraction, *, rescaled: bool):
+    """PepOperator.block as Fractions built it: the dense trailing blocks and
+    borders of lambda and gamma put over their least common denominator by
+    integer_rows, then combined at delta = p/q over q * den."""
+    h = cert.pattern
+    S_lam, S_gam = dense_slack(h, cert.lam), dense_slack(h, cert.gam)
+    n = h.t + 1
+    den, rows = integer_rows([*_trailing(S_lam), *_trailing(S_gam),
+                              S_lam.row(0)[1:], S_gam.row(0)[1:]])
+    A_lam, A_gam, b_lam, b_gam = rows[:n], rows[n:2 * n], rows[2 * n], rows[2 * n + 1]
+    p, q = delta.numerator, delta.denominator
+    A = [[q * a + p * g for a, g in zip(ra, rg)] for ra, rg in zip(A_lam, A_gam)]
+    b = [q * g for g in b_gam] if rescaled else [q * a + p * g for a, g in zip(b_lam, b_gam)]
+    return A, b, q * den
 
 
 def pow_interval(base: Fraction, s: int, prec: int) -> tuple[Fraction, Fraction]:

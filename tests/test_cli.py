@@ -13,7 +13,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import lscert.certificate
+import lscert.pep_builder
 from lscert.bundled import (bundled_pattern, bundled_pattern_meta, certificate_path,
                             pattern_ids)
 from lscert.cli import EXIT_FALSE, EXIT_OK, EXIT_USAGE, _fixed_up, _sci_up, main
@@ -51,15 +51,15 @@ class TestVerify:
         assert "eps_min" in out
 
     def test_recompute_eps_reuses_the_membership_eliminations(self, capsys, monkeypatch):
-        # one operator per file, two M_mat calls: eps_min is read off the report
+        # one operator per file, two M_rows calls: eps_min is read off the report
         calls = []
-        real = lscert.certificate.M_mat
+        real = lscert.pep_builder.M_rows
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(lscert.certificate, "M_mat", counted)
+        monkeypatch.setattr(lscert.pep_builder, "M_rows", counted)
         code, out, _ = run(capsys, "verify", "--recompute-eps",
                            str(certificate_path("t7")), str(certificate_path("t15")))
         assert code == EXIT_OK and out.count("eps_min") == 2
@@ -204,6 +204,67 @@ class TestHostileMutants:
         assert code in (EXIT_OK, EXIT_FALSE, EXIT_USAGE), err.getvalue()
         assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
         assert (code == EXIT_USAGE) == bool(err.getvalue())
+
+
+@st.composite
+def long_literals(draw, size: int = 2000) -> str:
+    """A rational literal of exactly ``size`` characters: an integer, a
+    decimal or a "p/q", signed or not, its digits drawn from a seeded stream."""
+    kind = draw(st.sampled_from(["int", "decimal", "fraction"]))
+    sign = draw(st.sampled_from(["", "-"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def digits(n: int) -> str:
+        return str(rng.randrange(1, 10)) + "".join(rng.choice("0123456789") for _ in range(n - 1))
+
+    n = size - len(sign)
+    if kind == "int":
+        return sign + digits(n)
+    k = draw(st.integers(1, n - 2))
+    if kind == "decimal":
+        return sign + (digits(k) if draw(st.booleans()) else "0" * k) + "." + digits(n - k - 1)
+    return sign + digits(k) + "/" + digits(n - k - 1)
+
+
+class TestLiteralsPastTheFloatRange:
+    def test_huge_slack_verifies_with_its_exact_coefficient(self, capsys, tmp_path):
+        # the rate coefficient avg(h) - eps has no float: JSON writes null and
+        # the text line writes the exact rational in its place
+        obj = json.loads(certificate_path("t3").read_text())
+        obj["epsilon"] = "1" + "0" * 1999
+        path = tmp_path / "t3_huge_eps.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, "verify", str(path))
+        exact = rat_to_str(Fraction(79, 30) - 10 ** 1999)
+        assert code == EXIT_OK and out.rstrip().endswith(f"{exact} ~= {exact})")
+        code, out, _ = run(capsys, "verify", "--recompute-eps", "--json", str(path))
+        entry = json.loads(out)["certificates"][0]
+        assert code == EXIT_OK
+        assert entry["rate_coefficient"] == exact and entry["rate_coefficient_float"] is None
+        assert entry["eps_min_float"] == 0.0
+
+    @pytest.mark.parametrize("field", ["epsilon", "delta", "multiplier"])
+    @pytest.mark.parametrize("pid", ["t2", "t3", "t7", "t15"])
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_2000_character_literals_never_exit_3(self, pid, field, data):
+        obj = json.loads(certificate_path(pid).read_text())
+        text = data.draw(long_literals())
+        if field == "multiplier":
+            m = obj[data.draw(st.sampled_from(["lambda", "gamma"]))]
+            m[data.draw(st.integers(0, len(m) - 1))][data.draw(st.integers(0, len(m) - 1))] = text
+        else:
+            obj[field] = text
+        flags = data.draw(st.sampled_from([["--recompute-eps"], ["--recompute-eps", "--json"]]))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "long.json"
+            path.write_text(json.dumps(obj))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["verify", str(path), *flags])
+        assert code in (EXIT_OK, EXIT_FALSE, EXIT_USAGE), err.getvalue()
+        if "--json" in flags and code != EXIT_USAGE:
+            json.loads(out.getvalue())  # no NaN or Infinity
 
 
 class TestGenerate:

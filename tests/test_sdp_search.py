@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-import lscert.certificate
+import lscert.pep_builder
 from lscert import sdp_search
 from lscert.certificate import Certificate, PreconditionError, check_membership
 from lscert.conelp import ConeDims, solve_conic, svec_pack, svec_unpack
@@ -367,15 +367,15 @@ class TestGenerate:
 
     def test_one_rung_builds_one_operator(self, monkeypatch):
         # the final certificate and its report reuse the operator and the
-        # eliminations of the eps = 0 probe: one M_mat call per multiplier
+        # eliminations of the eps = 0 probe: one M_rows call per multiplier
         calls = []
-        real = lscert.certificate.M_mat
+        real = lscert.pep_builder.M_rows
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(lscert.certificate, "M_mat", counted)
+        monkeypatch.setattr(lscert.pep_builder, "M_rows", counted)
         cert, report, _ = generate(StepsizePattern.from_text("2.9,1.5"), F(1, 1000),
                                    denom_bits=53)
         assert len(calls) == 2

@@ -4,21 +4,22 @@ from fractions import Fraction as F
 import pytest
 
 import lscert.certificate
+import lscert.pep_builder
 from lscert import two_step
 from lscert.certificate import Certificate, check_membership, delta_cap
 
 ETAS = (F(1, 2), F(1), F(2), F(7, 3), F(1, 7), F(29, 10))
 
 
-def count_m_mat(monkeypatch) -> list:
+def count_m_rows(monkeypatch) -> list:
     calls = []
-    real = lscert.certificate.M_mat
+    real = lscert.pep_builder.M_rows
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(lscert.certificate, "M_mat", counted)
+    monkeypatch.setattr(lscert.pep_builder, "M_rows", counted)
     return calls
 
 
@@ -64,11 +65,11 @@ def bisect_fresh(eta, resolution_bits=16):
 
 @pytest.mark.parametrize("eta", [F(1, 2), F(1)], ids=str)
 def test_bisection_builds_one_operator(monkeypatch, eta):
-    calls = count_m_mat(monkeypatch)
+    calls = count_m_rows(monkeypatch)
     probes = record_probes(monkeypatch)
     two_step.bisect_dyadic_delta(eta)
     assert len(probes) > 2
-    assert len(calls) == 2  # one M_mat call per multiplier, for the whole search
+    assert len(calls) == 2  # one M_rows call per multiplier, for the whole search
 
 
 @pytest.mark.parametrize("bits", [4, 10, 16])

@@ -2,10 +2,12 @@
 
 The documents are the four bundled certificates, one altered copy of each
 (two moved multiplier entries and two slacks below their exact minimum),
-and two hostile copies of t7 whose 2000-character literals put the integer
-blocks past the float range. Every output (JSON without ``schema_version``,
-and text) and exit code must equal the golden file's. To rewrite the golden
-file from the checkout on the path:
+two hostile copies of t7 whose 2000-character literals put the integer
+blocks past the float range, a copy of t3 whose Delta lies past its gap
+window (lambda >= 0 holds, lambda + Delta*gamma >= 0 fails), t3 written in
+decimal literals, and one two-step family certificate. Every output (JSON
+without ``schema_version``, and text) and exit code must equal the golden
+file's. To rewrite the golden file from the checkout on the path:
 
     PYTHONPATH=src python tests/test_verify_golden.py --write
 """
@@ -22,10 +24,26 @@ import pytest
 
 import lscert.certificate as cm
 from lscert import bundled
+from lscert.exact_linalg import rat_from_decimal
+from lscert.two_step import two_step_certificate
 from lscert.cli import EXIT_INTERNAL, main
 
 GOLDEN = Path(__file__).with_name("verify_golden.json")
 ARGS = ["verify", "--recompute-eps", "--pointwise", "4"]
+
+
+def _decimal(text: str) -> str:
+    """A rational literal as a decimal literal ("39/20" -> "1.95") where it has
+    one, else unchanged."""
+    v = rat_from_decimal(text)
+    places = 0
+    while (v * 10 ** places).denominator != 1:
+        if places > 40:
+            return text
+        places += 1
+    digits = str(abs(v.numerator * 10 ** places // v.denominator)).rjust(places + 1, "0")
+    sign = "-" if v < 0 else ""
+    return sign + (f"{digits[:-places]}.{digits[-places:]}" if places else digits)
 
 
 def _documents() -> dict[str, dict]:
@@ -58,6 +76,17 @@ def _documents() -> dict[str, dict]:
     docs["t7_eps_2000_chars"] = altered("t7", set_eps(f"{q // 10 ** 9 + 1}/{q}"))
     # hostile: a multiplier entry of 2000 nines
     docs["t7_gamma_2000_chars"] = altered("t7", lambda obj: obj["gamma"][1].__setitem__(3, "9" * 2000))
+    # t3's gap window ends near 2.84e-4, below this Delta and the cap 5/79
+    docs["t3_delta_past_window"] = altered("t3", lambda obj: obj.__setitem__("delta", "1/1000"))
+
+    def decimals(obj):
+        for key in ("h", "lambda", "gamma"):
+            obj[key] = [[_decimal(v) for v in r] if isinstance(r, list) else _decimal(r)
+                        for r in obj[key]]
+        obj["delta"], obj["epsilon"] = _decimal(obj["delta"]), _decimal(obj["epsilon"])
+
+    docs["t3_decimal"] = altered("t3", decimals)
+    docs["two_step_eta_1"] = cm._cert_to_obj(two_step_certificate(Fraction(1)))
     return docs
 
 

@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Paired, interleaved benchmark runs of two commits.
+
+    python3 tools/paired_bench.py BASE HEAD --workload verify-mix --seed 7919 --pairs 10
+
+Each commit is copied with ``git archive`` into its own temporary directory,
+and ``perfbench/run.py --trace 0`` runs from each copy in turn: pair i runs
+BASE first when i is even and HEAD first when i is odd, so a slow spell of a
+shared host falls on both sides. For every end-to-end metric of
+BENCHMARK.json it prints each side's median and quartiles, the number of
+pairs in which HEAD was better (ties count for neither), the ratio of the
+medians, and whether the medians differ by more than BASE's interquartile
+range. ``--json FILE`` also writes every run. Nothing in the repository is
+edited.
+"""
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(commit: str, dest: Path) -> Path:
+    """The files of ``commit`` under ``dest``, as ``git archive`` writes them."""
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as t:
+        t.extractall(dest)
+    return dest
+
+
+def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The metrics of one untraced run: name -> value, plus the run's verdict."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                          cwd=copy, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"no output from {copy}: {proc.stderr[-2000:]}")
+    out = json.loads(lines[-1])
+    metrics = {k: v["value"] for k, v in out["metrics"].items()}
+    return {"exit_code": proc.returncode, "attempted": out["attempted"],
+            "failed": out["failed"], "metrics": metrics}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(runs: dict[str, list[dict]], end_to_end: list[dict]) -> dict:
+    out = {}
+    for spec in end_to_end:
+        name, higher = spec["name"], spec["better"] == "higher"
+        base = [r["metrics"][name] for r in runs["base"]]
+        head = [r["metrics"][name] for r in runs["head"]]
+        wins = sum((h > b) if higher else (h < b) for b, h in zip(base, head))
+        bq, hq = quartiles(base), quartiles(head)
+        out[name] = {"unit": spec["unit"], "better": spec["better"],
+                     "base": {"q1": bq[0], "median": bq[1], "q3": bq[2]},
+                     "head": {"q1": hq[0], "median": hq[1], "q3": hq[2]},
+                     "head_wins": wins, "pairs": len(base),
+                     "ratio": hq[1] / bq[1] if bq[1] else None,
+                     "gap_exceeds_base_iqr": abs(hq[1] - bq[1]) > bq[2] - bq[0]}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base", help="the commit measured against (for example HEAD~1)")
+    ap.add_argument("head", help="the commit measured (for example HEAD)")
+    ap.add_argument("--workload", required=True,
+                    choices=("verify-mix", "generate-desk", "simulate-rates"))
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--json", type=Path, help="also write every run and the summary here")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be positive")
+    commits = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = {"base": [], "head": []}
+    with tempfile.TemporaryDirectory(prefix="paired_bench_") as tmp:
+        copies = {side: export(c, Path(tmp) / side) for side, c in commits.items()}
+        for i in range(args.pairs):
+            order = ("base", "head") if i % 2 == 0 else ("head", "base")
+            for side in order:
+                r = run_once(copies[side], args.workload, args.seed, args.seconds)
+                r["pair"], r["ran_first"] = i, side == order[0]
+                runs[side].append(r)
+                m = r["metrics"]
+                print(f"pair {i} {side}: " + ", ".join(f"{k} {m[k]:.4g}" for k in m),
+                      flush=True)
+    summary = summarize(runs, end_to_end)
+    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs; "
+          f"base {commits['base'][:10]}, head {commits['head'][:10]}")
+    print(f"{'metric':<12} {'base median [q1, q3]':<32} {'head median [q1, q3]':<32} "
+          f"{'wins':<6} {'ratio':<7} gap > base IQR")
+    for name, s in summary.items():
+        b, h = s["base"], s["head"]
+        cells = [f"{x['median']:.4g} [{x['q1']:.4g}, {x['q3']:.4g}]" for x in (b, h)]
+        ratio = "-" if s["ratio"] is None else f"{s['ratio']:.3f}"
+        print(f"{name:<12} {cells[0]:<32} {cells[1]:<32} {s['head_wins']}/{s['pairs']:<4} "
+              f"{ratio:<7} {s['gap_exceeds_base_iqr']}")
+    failed = sum(r["exit_code"] != 0 for side in runs.values() for r in side)
+    if failed:
+        print(f"{failed} run(s) exited nonzero: a request failed its check")
+    if args.json:
+        args.json.write_text(json.dumps({"workload": args.workload, "seed": args.seed,
+                                         "seconds": args.seconds, "commits": commits,
+                                         "runs": runs, "summary": summary}, indent=1) + "\n")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
