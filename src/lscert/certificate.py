@@ -233,8 +233,7 @@ def _rhs_gamma(pattern: StepsizePattern) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _residual(sums: Sequence[int], den: int,
-              rhs: Sequence[Fraction]) -> tuple[int, list[int]]:
+def _residual(sums: Sequence[int], den: int, rhs: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(D, E) with sums/den - rhs = E/D entrywise, in integers."""
     D = den * lcm(*(r.denominator for r in rhs))
     return D, [v * (D // den) - r.numerator * (D // r.denominator) for v, r in zip(sums, rhs)]
@@ -260,8 +259,9 @@ def _gap_window(lam: ScaledRows, gam: ScaledRows, Delta: Fraction) -> tuple[Frac
     Each bound is a ratio -L_pq / G_pq times d_gam / d_lam, so the ratios are
     compared as cross-multiplied integers, and one Fraction is built per end."""
     (d_lam, L), (d_gam, G) = lam, gam
-    lo_n, lo_d = 0, 1                                                    # 0
-    hi_n, hi_d = Delta.numerator * d_lam, Delta.denominator * d_gam      # Delta
+    # lo = 0 and hi = Delta, as ratios (levels times d_lam / d_gam)
+    lo_n, lo_d = 0, 1
+    hi_n, hi_d = Delta.numerator * d_lam, Delta.denominator * d_gam
     for p, (row_l, row_g) in enumerate(zip(L, G)):
         for q, (lv, gv) in enumerate(zip(row_l, row_g)):
             if p == q:

@@ -240,7 +240,7 @@ def test_operator_blocks_match_sympy(certs, name):
     parts = [_sym_rows(S) for S in (S_lam, S_gam)]
     entries = [v for S in parts for row in S[1:] for v in row[1:]]
     entries += [v for S in parts for v in S[0][1:]]
-    least = sp.ilcm(*(v.q for v in entries)) if len(entries) > 1 else entries[0].q
+    least = sp.ilcm(*(v.q for v in entries))
     for delta in (F(0), cert.Delta):
         A, b, den = cert.operator.block(delta, rescaled=False)
         assert sp.Rational(den, delta.denominator) == least
