@@ -23,8 +23,8 @@ from .exact_linalg import (PsdVerdict, RatMatrix, RationalParseError, SchurElimi
                            integer_rows, prove_psd, rat_from_decimal, rat_to_str)
 from .pep_builder import PepOperator, StepsizePattern, index_set
 
-# The Fraction route the integer forms replaced (M_mat, assemble Z, then LDL'
-# and rref) stays importable from here, where the benchmark's tracer rebinds it.
+# Unused here: kept only because the benchmark's tracer (perfbench/tracing.py,
+# TRACED) rebinds these names at this module. No verdict calls them.
 from .exact_linalg import psd_check, solve_exact  # noqa: F401
 from .pep_builder import M_mat, assemble_Z  # noqa: F401
 

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import bundled
 from .certificate import (
-    Certificate,
     CertificateError,
     check_membership,
     check_pointwise,

@@ -120,22 +120,6 @@ class RatMatrix:
                     return False
         return True
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._check_same_shape(other)
-        return RatMatrix(self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)])
-
-    def scale(self, c) -> "RatMatrix":
-        c = _as_fraction(c)
-        return RatMatrix(self.rows, self.cols, [c * a for a in self._e])
-
-    def matvec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise ValueError(f"vector length {len(v)} does not match {self.rows}x{self.cols}")
-        return tuple(
-            sum((a * b for a, b in zip(self.row(i), v) if a and b), Fraction(0))
-            for i in range(self.rows)
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatMatrix)
@@ -152,28 +136,11 @@ class RatMatrix:
         tail = " ..." if self.rows > 6 else ""
         return f"RatMatrix({self.rows}x{self.cols}: {body}{tail})"
 
-    def _check_same_shape(self, other: "RatMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
 
 def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
     """(den, N) with rows = N / den entrywise and den the least common denominator."""
     den = lcm(*(v.denominator for r in rows for v in r))
     return den, [[v.numerator * (den // v.denominator) for v in r] for r in rows]
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError(f"vector length mismatch {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
-
-
-def quad_form(M: RatMatrix, v: Sequence[Fraction]) -> Fraction:
-    """v' M v, exactly."""
-    return dot(v, M.matvec(v))
 
 
 @dataclass(frozen=True)
@@ -186,81 +153,6 @@ class NegativeWitness:
 class PsdVerdict:
     is_psd: bool
     witness: NegativeWitness | None = None
-
-
-def psd_check(M: RatMatrix) -> PsdVerdict:
-    """Decide positive semidefiniteness exactly.
-
-    Symmetric Gaussian elimination with diagonal pivoting on the largest
-    remaining diagonal entry. A negative diagonal entry, or a nonzero row
-    whose diagonal has reached zero, produces an explicit direction v with
-    v' M v < 0; otherwise elimination ends on an all-zero block and M is PSD.
-    """
-    if M.rows != M.cols:
-        raise ValueError(f"psd_check needs a square matrix, got {M.rows}x{M.cols}")
-    if not M.is_symmetric():
-        raise ValueError("psd_check needs a symmetric matrix")
-    n = M.rows
-    S = [list(M.row(i)) for i in range(n)]  # mutated in place under permutation
-    perm = list(range(n))
-    L = [[Fraction(0)] * n for _ in range(n)]  # unit lower factor, below the diagonal
-
-    def swap(a: int, b: int) -> None:
-        if a == b:
-            return
-        S[a], S[b] = S[b], S[a]
-        for r in range(n):
-            S[r][a], S[r][b] = S[r][b], S[r][a]
-        perm[a], perm[b] = perm[b], perm[a]
-        L[a], L[b] = L[b], L[a]
-
-    def lift_witness(k: int, w: dict[int, Fraction]) -> NegativeWitness:
-        # w lives on pivoted coordinates >= k; cancel the head via L.
-        u = [Fraction(0)] * n
-        for idx, val in w.items():
-            u[idx] = val
-        # back-substitute u_head = -L11^{-T} (L21' w), i.e. solve rows k-1..0
-        for i in range(k - 1, -1, -1):
-            acc = sum((L[r][i] * u[r] for r in range(i + 1, n) if u[r]), Fraction(0))
-            u[i] = -acc
-        v = [Fraction(0)] * n
-        for pos in range(n):
-            v[perm[pos]] = u[pos]
-        value = quad_form(M, v)
-        assert value < 0
-        return NegativeWitness(tuple(v), value)
-
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: S[i][i])
-        if S[p][p] > 0:
-            swap(k, p)
-            d = S[k][k]
-            col = [S[i][k] for i in range(n)]
-            for i in range(k + 1, n):
-                L[i][k] = col[i] / d
-            for i in range(k + 1, n):
-                ci = col[i]
-                if ci:
-                    fi = ci / d
-                    Si = S[i]
-                    for j in range(k + 1, n):
-                        if col[j]:
-                            Si[j] -= fi * col[j]
-            for i in range(k + 1, n):
-                S[i][k] = Fraction(0)
-                S[k][i] = Fraction(0)
-            continue
-        # All remaining diagonal entries are <= 0.
-        for i in range(k, n):
-            if S[i][i] < 0:
-                return PsdVerdict(False, witness=lift_witness(k, {i: Fraction(1)}))
-        for i in range(k, n):
-            for j in range(i + 1, n):
-                if S[i][j]:
-                    sgn = Fraction(1) if S[i][j] > 0 else Fraction(-1)
-                    return PsdVerdict(False, witness=lift_witness(k, {i: Fraction(1), j: -sgn}))
-        break  # the remaining block is identically zero
-    return PsdVerdict(True)
 
 
 @dataclass(frozen=True)
@@ -335,7 +227,7 @@ def schur_eliminate(A: Sequence[Sequence[int]], b: Sequence[int], den: int) -> S
 
     Bareiss's fraction-free elimination (every division exact) on the upper
     triangle of the symmetric matrix [[A, b], [b', 0]], pivoting on the
-    largest remaining diagonal entry of A as ``psd_check`` does; the border
+    largest remaining diagonal entry of A; the border
     row and column are carried along and never pivoted on. After a pivot d
     the remaining entries are d times the Schur complement, d > 0, so every
     sign test reads the Schur complement directly and the final corner is
@@ -381,6 +273,24 @@ def schur_eliminate(A: Sequence[Sequence[int]], b: Sequence[int], den: int) -> S
     if any(R[i][m - i] for i in range(m)):
         return SchurElimination(True, False, None, den, **done)
     return SchurElimination(True, True, Fraction(-R[m][0], prev * den), den, **done)
+
+
+def psd_check(M: RatMatrix) -> PsdVerdict:
+    """Decide positive semidefiniteness exactly: ``schur_eliminate`` on M in
+    integers, with a zero border and a zero corner. A reject carries v with
+    v' M v < 0.
+    """
+    if M.rows != M.cols:
+        raise ValueError(f"psd_check needs a square matrix, got {M.rows}x{M.cols}")
+    if not M.is_symmetric():
+        raise ValueError("psd_check needs a symmetric matrix")
+    den, rows = integer_rows(M.to_rows())
+    verdict = schur_eliminate(rows, [0] * M.rows, den).bordered(Fraction(0))
+    if verdict.is_psd:
+        return verdict
+    # the bordered witness is (0, v): a zero border only fails through M itself
+    w = verdict.witness
+    return PsdVerdict(False, witness=NegativeWitness(w.vector[1:], w.value))
 
 
 def prove_psd(N: Sequence[Sequence[int]],

@@ -63,7 +63,11 @@ def run_gd(problem: SmoothProblem, pattern: StepsizePattern, T: int,
     if not (np.isfinite(problem.L) and problem.L > 0):
         raise ValueError(f"problem smoothness constant must be finite and positive, "
                          f"got {problem.L}")
-    steps = [float(h) / problem.L for h in pattern.h]
+    try:
+        steps = [float(h) / problem.L for h in pattern.h]
+    except OverflowError:
+        raise ValueError("a stepsize lies past the float range, so its steps cannot "
+                         "be simulated") from None
     x = np.zeros(problem.n) if x0 is None else np.array(x0, dtype=float)
     gaps = np.empty(T + 1)
     val, g = problem.oracle(x)

@@ -11,7 +11,9 @@ coordinate i+1 carries the gradient at step i. The interpolation inequality
 of the pair (i, j) reads F a_{i,j} + Tr(G (A_{i,j} + C_{i,j}/2)) <= 0, with
 A_{i,j} = g_j (.) (x_i - x_j), C_{i,j} = (g_i - g_j)(g_i - g_j)' and
 a_{i,j} = f_j - f_i. ``pair_table`` is the one explicit form of these terms;
-``M_mat``, ``m_vec`` and ``sum_a`` are their multiplier sums in closed form.
+``M_rows`` and ``_balance`` are their multiplier sums in closed form, in
+integers, which ``PepOperator`` holds per multiplier pair. ``M_mat`` and
+``assemble_Z`` are ``Fraction`` views of that operator.
 """
 from __future__ import annotations
 
@@ -145,40 +147,17 @@ def pair_table(h: StepsizePattern) -> PairTable:
     return PairTable(h, tuple(pairs))
 
 
-def _check_multiplier_shape(h: StepsizePattern, arg: RatMatrix, name: str) -> None:
-    dim = h.t + 2
-    if arg.rows != dim or arg.cols != dim:
-        raise ValueError(f"{name} must be {dim}x{dim} for t={h.t}, got {arg.rows}x{arg.cols}")
-
-
 def _balance(a: Sequence[Sequence[int]]) -> list[int]:
-    """sum_a of the multiplier a/den, times den: entry k is the off-diagonal
-    sum of column k minus that of row k (the diagonal cancels)."""
+    """sum_a(arg) = sum_{i != j} arg_{i,j} a_{i,j} for arg = a/den, times den:
+    entry k is the off-diagonal sum of column k minus that of row k (the
+    diagonal cancels)."""
     return [sum(r[k] for r in a) - sum(a[k]) for k in range(1, len(a))]
 
 
-def sum_a(h: StepsizePattern, arg: RatMatrix) -> tuple[Fraction, ...]:
-    """sum_{i != j} arg_{i,j} a_{i,j}, with a_{i,j} = f_j - f_i."""
-    _check_multiplier_shape(h, arg, "multiplier matrix")
-    den, a = integer_rows([arg.row(p) for p in range(h.t + 2)])
-    return tuple(Fraction(v, den) for v in _balance(a))
-
-
-def m_vec(h: StepsizePattern, arg: RatMatrix) -> tuple[Fraction, ...]:
-    """First column of the dual slack matrix below its corner, as a linear map.
-
-    Only pairs (*, j) touch it: m[j] = -arg_{*,j} / 2.
-    """
-    _check_multiplier_shape(h, arg, "multiplier matrix")
-    t = h.t
-    half = Fraction(1, 2)
-    return tuple(-half * arg.entry(0, mat_pos(j, t)) for j in range(t + 1))
-
-
 def M_rows(h: StepsizePattern, a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """``M_mat`` in integers: for a multiplier given as integer rows a = arg * da,
-    the trailing block times 2 * da * dh, where dh is h's common denominator
-    (``h.integer_form``). O(t^2).
+    """The trailing block of sum arg_{i,j} (A_{i,j} + C_{i,j}/2) in integers: for
+    a multiplier given as integer rows a = arg * da, that block times
+    2 * da * dh, where dh is h's common denominator (``h.integer_form``). O(t^2).
 
     A part: coordinate k of x_i - x_j is h_k when i <= k < j (or i = *, k < j)
     and -h_k when j <= k < i, so column j collects h_k * (T_j - S_j(k)) for
@@ -210,27 +189,6 @@ def M_rows(h: StepsizePattern, a: Sequence[Sequence[int]]) -> list[list[int]]:
             M[i][j] -= c
             M[j][i] -= c
     return M
-
-
-def M_mat(h: StepsizePattern, arg: RatMatrix) -> RatMatrix:
-    """Trailing (t+1)x(t+1) block of sum arg_{i,j} (A_{i,j} + C_{i,j}/2), in O(t^2)
-    through ``M_rows``."""
-    _check_multiplier_shape(h, arg, "multiplier matrix")
-    n = h.t + 1
-    da, a = integer_rows([arg.row(p) for p in range(n + 1)])
-    den = 2 * da * h.integer_form[0]
-    return RatMatrix(n, n, [Fraction(v, den) for row in M_rows(h, a) for v in row])
-
-
-def bordered(corner: Fraction, m: Sequence[Fraction], M: RatMatrix) -> RatMatrix:
-    """[[corner, m'], [m, M]] as one symmetric matrix."""
-    n = M.rows
-    if len(m) != n:
-        raise ValueError("border length does not match block size")
-    rows = [[corner, *m]]
-    for i in range(n):
-        rows.append([m[i], *M.row(i)])
-    return RatMatrix.from_rows(rows)
 
 
 class PepOperator:
@@ -291,14 +249,32 @@ class PepOperator:
         return schur_eliminate(*self.block(delta, rescaled=rescaled))
 
 
+def _level_zero_block(h: StepsizePattern, arg: RatMatrix,
+                      name: str) -> tuple[list[list[int]], list[int], int]:
+    """(A, b, den): M(arg) = A/den and m(arg) = b/den, from ``PepOperator``."""
+    dim = h.t + 2
+    if arg.rows != dim or arg.cols != dim:
+        raise ValueError(f"{name} must be {dim}x{dim} for t={h.t}, got {arg.rows}x{arg.cols}")
+    zero = (1, [[0] * dim for _ in range(dim)])
+    return PepOperator(h, integer_rows(arg.to_rows()), zero).block(Fraction(0), rescaled=False)
+
+
+def M_mat(h: StepsizePattern, arg: RatMatrix) -> RatMatrix:
+    """Trailing (t+1)x(t+1) block of sum arg_{i,j} (A_{i,j} + C_{i,j}/2), in O(t^2)."""
+    A, _, den = _level_zero_block(h, arg, "multiplier matrix")
+    return RatMatrix.from_rows([[Fraction(v, den) for v in row] for row in A])
+
+
 def assemble_Z(h: StepsizePattern, eps: Fraction, lam: RatMatrix, delta: Fraction) -> RatMatrix:
     """The dual slack matrix at one gap level delta.
 
     Z = sum_i (h_i + eps) delta^2 * B_{0,*} + sum_{i != j} lam_{i,j} (A_{i,j} + C_{i,j}/2);
     only the corner is quadratic in delta.
     """
-    _check_multiplier_shape(h, lam, "lambda")
+    A, b, den = _level_zero_block(h, lam, "lambda")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     corner = sum((hi + eps for hi in h.h), Fraction(0)) * delta * delta
-    return bordered(corner, m_vec(h, lam), M_mat(h, lam))
+    m = [Fraction(v, den) for v in b]
+    return RatMatrix.from_rows([[corner, *m]] + [
+        [mi, *(Fraction(v, den) for v in row)] for mi, row in zip(m, A)])

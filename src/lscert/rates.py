@@ -170,9 +170,10 @@ def compute_sbar(scale: ProblemScale, sum_h_minus_eps: Fraction,
     Delta = _as_exact(Delta, "Delta")
     contraction = S * Delta
     if contraction >= 1:
+        size = f"= {float(contraction):g}" if contraction < 1e300 else ">= 1e300"
         raise UnsupportedRegimeError(
-            f"sum(h_i - eps) * Delta = {float(contraction):g} >= 1: the contraction "
-            "phase is vacuous in this regime")
+            f"sum(h_i - eps) * Delta {size} >= 1: the contraction phase is vacuous "
+            "in this regime")
     if contraction <= 0:
         raise UnsupportedRegimeError("sum(h_i - eps) * Delta must be positive")
     B = 1 - contraction

@@ -265,10 +265,11 @@ def _validate_search_inputs(pattern: StepsizePattern,
                                 f"(t <= {DEFAULT_GENERATION_MAX_T})")
     if Delta is None:
         return
-    cap = min(0.5, 1.0 / (2.0 * float(pattern.sum_h)))
-    if not (0.0 < float(Delta) < cap + 1e-15):
+    # compared exactly: sum h and Delta may lie past the float range
+    cap = min(Fraction(1, 2), 1 / (2 * pattern.sum_h))
+    if not 0 < Delta < cap + Fraction(1, 10 ** 15):
         raise PreconditionError(
-            f"Delta={float(Delta)} outside (0, min(1/2, 1/(2 sum h))={cap:.6g})")
+            f"Delta={Delta} outside (0, min(1/2, 1/(2 sum h))={float(cap):.6g})")
 
 
 def solve_approx(pattern: StepsizePattern, Delta: float,

@@ -7,12 +7,14 @@ coordinate i+1 carries g_i (L = 1). This costs O(t^4) for all pairs; the
 tests use it as the definition that pep_builder's pair table and closed
 forms must reproduce.
 
-It also keeps the Fraction route of the certificate's linear conditions
-(nonnegativity, the gap window, the balance equality at a gap level) and of
-the operator's integer blocks, which the certificate's integer forms replaced,
-and the rate bounds' first algorithm: s_bar by doubling and
-bisection over fixed-point intervals of absolute resolution, and the
-contraction-phase bound at 192 bits.
+It keeps the Fraction routes that the integer kernels replaced: the
+symmetric LDL' elimination that decided PSD (``ldl_psd_check``), with the
+quadratic form that checks every negative witness and the matrix arithmetic
+the tests build blocks with; the certificate's linear conditions
+(nonnegativity, the gap window, the balance equality at a gap level) and the
+operator's integer blocks; and the rate bounds' first algorithm: s_bar by
+doubling and bisection over fixed-point intervals of absolute resolution, and
+the contraction-phase bound at 192 bits.
 """
 from __future__ import annotations
 
@@ -22,9 +24,117 @@ from typing import Sequence
 
 from lscert.certificate import (Certificate, EqualityVerdict, NonnegVerdict, _rhs_gamma,
                                 _rhs_lambda)
-from lscert.exact_linalg import RatMatrix, integer_rows
-from lscert.pep_builder import STAR, StepsizePattern, bordered, index_pairs, index_set, mat_pos
+from lscert.exact_linalg import NegativeWitness, PsdVerdict, RatMatrix, integer_rows
+from lscert.pep_builder import STAR, StepsizePattern, index_pairs, index_set, mat_pos
 from lscert.rates import ProblemScale, RateGuarantee, UnsupportedRegimeError
+
+
+def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    if len(u) != len(v):
+        raise ValueError(f"vector length mismatch {len(u)} vs {len(v)}")
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+
+
+def matvec(M: RatMatrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    if len(v) != M.cols:
+        raise ValueError(f"vector length {len(v)} does not match {M.rows}x{M.cols}")
+    return tuple(dot(M.row(i), v) for i in range(M.rows))
+
+
+def quad_form(M: RatMatrix, v: Sequence[Fraction]) -> Fraction:
+    """v' M v, exactly."""
+    return dot(v, matvec(M, v))
+
+
+def add_scaled(A: RatMatrix, B: RatMatrix, c) -> RatMatrix:
+    """A + c B."""
+    if (A.rows, A.cols) != (B.rows, B.cols):
+        raise ValueError(f"shape mismatch {A.rows}x{A.cols} vs {B.rows}x{B.cols}")
+    c = Fraction(c)
+    return RatMatrix.from_rows([[a + c * b for a, b in zip(A.row(i), B.row(i))]
+                                for i in range(A.rows)])
+
+
+def bordered(corner: Fraction, m: Sequence[Fraction], M: RatMatrix) -> RatMatrix:
+    """[[corner, m'], [m, M]] as one symmetric matrix."""
+    if len(m) != M.rows:
+        raise ValueError("border length does not match block size")
+    return RatMatrix.from_rows([[corner, *m]] + [[m[i], *M.row(i)] for i in range(M.rows)])
+
+
+def ldl_psd_check(M: RatMatrix) -> PsdVerdict:
+    """Decide positive semidefiniteness exactly, in Fractions.
+
+    Symmetric Gaussian elimination with diagonal pivoting on the largest
+    remaining diagonal entry. A negative diagonal entry, or a nonzero row
+    whose diagonal has reached zero, produces an explicit direction v with
+    v' M v < 0; otherwise elimination ends on an all-zero block and M is PSD.
+    """
+    if M.rows != M.cols:
+        raise ValueError(f"ldl_psd_check needs a square matrix, got {M.rows}x{M.cols}")
+    if not M.is_symmetric():
+        raise ValueError("ldl_psd_check needs a symmetric matrix")
+    n = M.rows
+    S = [list(M.row(i)) for i in range(n)]  # mutated in place under permutation
+    perm = list(range(n))
+    L = [[Fraction(0)] * n for _ in range(n)]  # unit lower factor, below the diagonal
+
+    def swap(a: int, b: int) -> None:
+        if a == b:
+            return
+        S[a], S[b] = S[b], S[a]
+        for r in range(n):
+            S[r][a], S[r][b] = S[r][b], S[r][a]
+        perm[a], perm[b] = perm[b], perm[a]
+        L[a], L[b] = L[b], L[a]
+
+    def lift_witness(k: int, w: dict[int, Fraction]) -> NegativeWitness:
+        # w lives on pivoted coordinates >= k; cancel the head via L.
+        u = [Fraction(0)] * n
+        for idx, val in w.items():
+            u[idx] = val
+        # back-substitute u_head = -L11^{-T} (L21' w), i.e. solve rows k-1..0
+        for i in range(k - 1, -1, -1):
+            acc = sum((L[r][i] * u[r] for r in range(i + 1, n) if u[r]), Fraction(0))
+            u[i] = -acc
+        v = [Fraction(0)] * n
+        for pos in range(n):
+            v[perm[pos]] = u[pos]
+        value = quad_form(M, v)
+        assert value < 0
+        return NegativeWitness(tuple(v), value)
+
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: S[i][i])
+        if S[p][p] > 0:
+            swap(k, p)
+            d = S[k][k]
+            col = [S[i][k] for i in range(n)]
+            for i in range(k + 1, n):
+                L[i][k] = col[i] / d
+            for i in range(k + 1, n):
+                ci = col[i]
+                if ci:
+                    fi = ci / d
+                    Si = S[i]
+                    for j in range(k + 1, n):
+                        if col[j]:
+                            Si[j] -= fi * col[j]
+            for i in range(k + 1, n):
+                S[i][k] = Fraction(0)
+                S[k][i] = Fraction(0)
+            continue
+        # All remaining diagonal entries are <= 0.
+        for i in range(k, n):
+            if S[i][i] < 0:
+                return PsdVerdict(False, witness=lift_witness(k, {i: Fraction(1)}))
+        for i in range(k, n):
+            for j in range(i + 1, n):
+                if S[i][j]:
+                    sgn = Fraction(1) if S[i][j] > 0 else Fraction(-1)
+                    return PsdVerdict(False, witness=lift_witness(k, {i: Fraction(1), j: -sgn}))
+        break  # the remaining block is identically zero
+    return PsdVerdict(True)
 
 
 def basis(h: StepsizePattern) -> tuple[dict, dict, dict]:
@@ -75,7 +185,7 @@ def pep_matrices(h: StepsizePattern) -> dict:
 
 def interpolation_matrix(pm: dict) -> RatMatrix:
     """A + C/2: the Gram part of one pair's interpolation inequality."""
-    return pm["A"] + pm["C"].scale(Fraction(1, 2))
+    return add_scaled(pm["A"], pm["C"], Fraction(1, 2))
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +226,7 @@ def psd_blocks(cert: Certificate) -> tuple[RatMatrix, RatMatrix]:
     m_gam = S_gam.row(0)[1:]
     M_lam = trailing(S_lam)
     return (bordered(cert.corner, m_gam, M_lam),
-            bordered(cert.corner, m_gam, M_lam + trailing(S_gam).scale(cert.Delta)))
+            bordered(cert.corner, m_gam, add_scaled(M_lam, trailing(S_gam), cert.Delta)))
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +274,7 @@ def linear_verdicts(cert: Certificate) -> dict:
         "m_lambda_zero": eq(dense_slack(h, cert.lam).row(0)[1:], (Fraction(0),) * (t + 1)),
         "lambda_nonneg": nonneg_verdict(cert.lam, t),
         "lambda_plus_delta_gamma_nonneg": nonneg_verdict(
-            cert.lam + cert.gam.scale(cert.Delta), t),
+            add_scaled(cert.lam, cert.gam, cert.Delta), t),
     }
 
 

@@ -19,16 +19,10 @@ from lscert.certificate import (
     minimal_epsilon,
     save_certificate,
 )
-from oracles import psd_blocks
-from lscert.exact_linalg import (
-    InRangeFailure,
-    RatMatrix,
-    dot,
-    psd_check,
-    quad_form,
-    solve_exact,
-)
-from lscert.pep_builder import StepsizePattern, M_mat, assemble_Z, bordered, m_vec, sum_a
+from oracles import (add_scaled, bordered, dense_slack, dense_sums, dot, ldl_psd_check,
+                     psd_blocks, quad_form)
+from lscert.exact_linalg import InRangeFailure, RatMatrix, solve_exact
+from lscert.pep_builder import StepsizePattern, M_mat, assemble_Z
 from lscert.two_step import two_step_certificate
 
 F = Fraction
@@ -175,29 +169,41 @@ class TestMinimalEpsilon:
 
 
 def reference_eps_min(cert: Certificate):
-    """minimal_epsilon by the Fraction kernels: psd_check, then solve_exact, per block."""
-    h, m = cert.pattern, m_vec(cert.pattern, cert.gam)
+    """minimal_epsilon by the Fraction kernels on the dense oracle's blocks: the
+    LDL' reference, then solve_exact, per block."""
+    h = cert.pattern
+    m = dense_slack(h, cert.gam).row(0)[1:]
     values = []
-    for lam in (cert.lam, cert.lam + cert.gam.scale(cert.Delta)):
-        M = M_mat(h, lam)
+    for lam in (cert.lam, add_scaled(cert.lam, cert.gam, cert.Delta)):
+        S = dense_slack(h, lam)
+        M = RatMatrix.from_rows([S.row(r)[1:] for r in range(1, h.t + 2)])
         x = solve_exact(M, m)
-        if not psd_check(M).is_psd or isinstance(x, InRangeFailure):
+        if not ldl_psd_check(M).is_psd or isinstance(x, InRangeFailure):
             return None
         values.append(dot(m, x))
     return max(values) / h.t - h.avg_h
 
 
 def reference_pointwise(cert: Certificate, delta: Fraction) -> bool:
-    """check_pointwise on the assembled dual slack matrix, decided by psd_check."""
+    """check_pointwise on the dense oracle's dual slack matrix, decided by the
+    LDL' reference."""
     h = cert.pattern
-    lam_d = cert.lam + cert.gam.scale(delta)
+    lam_d = add_scaled(cert.lam, cert.gam, delta)
     rhs = [F(0)] * (h.t + 1)
     rhs[0], rhs[h.t] = -(1 - 2 * h.sum_h * delta), F(1)
-    if sum_a(h, lam_d) != tuple(rhs):
+    if dense_sums(h, lam_d) != tuple(rhs):
         return False
     if any(lam_d.entry(i, j) < 0 for i in range(h.t + 2) for j in range(h.t + 2) if i != j):
         return False
-    return psd_check(assemble_Z(h, cert.epsilon, lam_d, delta)).is_psd
+    return ldl_psd_check(dense_Z(h, cert.epsilon, lam_d, delta)).is_psd
+
+
+def dense_Z(h: StepsizePattern, eps: Fraction, lam: RatMatrix, delta: Fraction) -> RatMatrix:
+    """Z at gap level delta from the dense pair matrices: their slack, whose
+    corner is 0, with the corner sum_i (h_i + eps) delta^2."""
+    rows = dense_slack(h, lam).to_rows()
+    rows[0][0] = (h.sum_h + h.t * eps) * delta * delta
+    return RatMatrix.from_rows(rows)
 
 
 def altered(cert: Certificate, seed: int) -> Certificate:
@@ -212,7 +218,8 @@ def altered(cert: Certificate, seed: int) -> Certificate:
 
 
 class TestAgreesWithFractionKernels:
-    """The integer eliminations decide exactly what psd_check and solve_exact decide."""
+    """The integer eliminations decide exactly what the Fraction LDL' reference
+    and solve_exact decide on the dense oracle's blocks."""
 
     @pytest.fixture(scope="class")
     def certs(self):
@@ -230,19 +237,29 @@ class TestAgreesWithFractionKernels:
         for cert in certs:
             rep = check_membership(cert)
             for cond, X in zip((rep.psd_at_zero, rep.psd_at_delta), psd_blocks(cert)):
-                assert cond.is_psd == psd_check(X).is_psd
+                assert cond.is_psd == ldl_psd_check(X).is_psd
                 if not cond.is_psd:
                     w = cond.witness
                     assert quad_form(X, w.vector) == w.value < 0
 
     def test_dense_blocks_match_the_closed_forms(self, certs):
-        # the oracle's blocks, summed from dense pair matrices, against M_mat and m_vec
+        # the oracle's blocks, summed from dense pair matrices, against the
+        # operator's views: M_mat and the border of assemble_Z
         for cert in certs:
             h = cert.pattern
-            M_lam, m_gam = M_mat(h, cert.lam), m_vec(h, cert.gam)
+            M_lam, m_gam = M_mat(h, cert.lam), assemble_Z(h, F(0), cert.gam, F(0)).row(0)[1:]
             assert psd_blocks(cert) == (
                 bordered(cert.corner, m_gam, M_lam),
-                bordered(cert.corner, m_gam, M_lam + M_mat(h, cert.gam).scale(cert.Delta)))
+                bordered(cert.corner, m_gam, add_scaled(M_lam, M_mat(h, cert.gam), cert.Delta)))
+
+    def test_assemble_Z_matches_the_dense_Z(self, certs):
+        # on every bundled certificate (and its alterations) at three gap levels
+        assert {bundled_certificate(p) for p in certificate_ids()} <= set(certs)
+        for cert in certs:
+            for delta in (F(0), cert.Delta / 3, cert.Delta):
+                lam_d = add_scaled(cert.lam, cert.gam, delta)
+                assert (assemble_Z(cert.pattern, cert.epsilon, lam_d, delta)
+                        == dense_Z(cert.pattern, cert.epsilon, lam_d, delta))
 
     def test_minimal_epsilon(self, certs):
         for cert in certs:

@@ -267,6 +267,27 @@ class TestLiteralsPastTheFloatRange:
             json.loads(out.getvalue())  # no NaN or Infinity
 
 
+    @pytest.mark.parametrize("command", ["generate", "generate_delta", "simulate", "rate"])
+    def test_400_digit_inputs_of_the_other_commands_exit_2(self, capsys, tmp_path, command):
+        # sum h, a step h/L and the contraction factor would each overflow a float
+        big = "7" * 400
+        if command == "rate":
+            obj = json.loads(certificate_path("t3").read_text())
+            obj["h"][0] = big
+            path = tmp_path / "t3_huge_h0.json"
+            path.write_text(json.dumps(obj))
+            argv = ["rate", "--cert", str(path), "--T", "3"]
+        elif command == "simulate":
+            argv = ["simulate", "--pattern", big, "--n", "4", "--iters", "3",
+                    "--out", str(tmp_path / "sim.csv")]
+        elif command == "generate":
+            argv = ["generate", "--pattern", big, "--delta", "0.001"]
+        else:
+            argv = ["generate", "--pattern", "1", "--delta", big]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and err.startswith("error: "), err
+
+
 class TestGenerate:
     def test_unit_pattern(self, capsys, tmp_path):
         out_path = tmp_path / "one.json"

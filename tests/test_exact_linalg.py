@@ -10,17 +10,15 @@ from lscert.exact_linalg import (
     InRangeFailure,
     RatMatrix,
     RationalParseError,
-    dot,
     integer_rows,
     psd_check,
-    quad_form,
     rat_from_decimal,
     rat_to_str,
     rref,
     schur_eliminate,
     solve_exact,
 )
-from lscert.pep_builder import bordered
+from oracles import add_scaled, bordered, dot, ldl_psd_check, matvec, quad_form
 
 
 def gram(H: RatMatrix) -> RatMatrix:
@@ -145,7 +143,7 @@ class TestSolveExact:
         M = RatMatrix.from_rows([[1, 1], [1, 1]])
         b = (Fraction(2), Fraction(2))
         x = solve_exact(M, b)
-        assert M.matvec(x) == b
+        assert matvec(M, x) == b
 
     def test_singular_inconsistent(self):
         M = RatMatrix.from_rows([[1, 1], [1, 1]])
@@ -163,10 +161,10 @@ class TestSolveExact:
                 [[Fraction(rng.randrange(-4, 5)) for _ in range(n)] for _ in range(n)])
             M = gram(H)
             z = tuple(Fraction(rng.randrange(-3, 4)) for _ in range(n))
-            b = M.matvec(z)
+            b = matvec(M, z)
             x = solve_exact(M, b)
             assert not isinstance(x, InRangeFailure)
-            assert M.matvec(x) == b
+            assert matvec(M, x) == b
 
 
 def eliminate(M: RatMatrix, m):
@@ -202,9 +200,9 @@ def random_block(rng: random.Random, kind: str, n: int):
         H = RatMatrix.from_rows([[rat() for _ in range(n)] for _ in range(r)])
         M = gram(H)
         if kind == "full_rank":
-            M = M + RatMatrix.identity(n).scale(Fraction(1, rng.randrange(1, 50)))
+            M = add_scaled(M, RatMatrix.identity(n), Fraction(1, rng.randrange(1, 50)))
     if rng.random() < 0.7:
-        m = M.matvec(tuple(rat() for _ in range(n)))  # in range(M)
+        m = matvec(M, tuple(rat() for _ in range(n)))  # in range(M)
     else:
         m = tuple(rat() for _ in range(n))
     return M, m
@@ -226,8 +224,58 @@ def corners(rng: random.Random, kind: str, M: RatMatrix, m):
             base - Fraction(1, rng.randrange(1, 100)), Fraction(rng.randrange(-3, 4))]
 
 
+def sympy_psd(X: RatMatrix) -> bool:
+    """Sylvester's criterion in sympy: PSD exactly when every principal minor is >= 0."""
+    sympy = pytest.importorskip("sympy")
+    S = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in X.row(i)]
+                      for i in range(X.rows)])
+    return all(S.extract(list(idx), list(idx)).det(method="bareiss") >= 0
+               for r in range(1, X.rows + 1)
+               for idx in itertools.combinations(range(X.rows), r))
+
+
+class TestPsdCheckView:
+    """psd_check, a view of schur_eliminate, against the Fraction LDL' reference
+    and sympy; every witness is checked by the reference's quadratic form."""
+
+    @pytest.mark.parametrize("kind", ("full_rank", "singular", "padded", "indefinite",
+                                      "zero_diagonal", "zero"))
+    def test_against_ldl_reference_and_sympy(self, kind):
+        rng = random.Random(f"view-{kind}")
+        rejects = 0
+        for _ in range(25):
+            n = rng.randrange(1, 6)
+            M, _ = random_block(rng, kind, n)
+            v = psd_check(M)
+            assert v.is_psd == ldl_psd_check(M).is_psd == sympy_psd(M)
+            if v.is_psd:
+                assert v.witness is None
+            else:
+                rejects += 1
+                assert len(v.witness.vector) == n
+                assert quad_form(M, v.witness.vector) == v.witness.value < 0
+        assert rejects > 0 if kind in ("indefinite", "zero_diagonal") else rejects == 0
+
+    def test_order_zero(self):
+        v = psd_check(RatMatrix.zeros(0))
+        assert v.is_psd and v.witness is None
+        assert ldl_psd_check(RatMatrix.zeros(0)).is_psd
+
+    def test_rank_deficient_indefinite(self):
+        # rank 2, with eigenvalues 3, -1 and 0
+        M = RatMatrix.from_rows([[1, 2, 0], [2, 1, 0], [0, 0, 0]])
+        v = psd_check(M)
+        assert not v.is_psd and not ldl_psd_check(M).is_psd and not sympy_psd(M)
+        assert quad_form(M, v.witness.vector) == v.witness.value < 0
+
+    def test_refuses_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            psd_check(RatMatrix.zeros(2, 3))
+
+
 class TestSchurEliminationDifferential:
-    """The integer kernel against the Fraction LDL' psd_check, solve_exact and sympy."""
+    """The integer kernel against the Fraction LDL' reference (``oracles.ldl_psd_check``),
+    solve_exact and sympy."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_against_psd_check_and_solve_exact(self, kind):
@@ -236,7 +284,7 @@ class TestSchurEliminationDifferential:
         for _ in range(40):
             M, m = random_block(rng, kind, rng.randrange(1, 9))
             e = eliminate(M, m)
-            assert e.psd == psd_check(M).is_psd
+            assert e.psd == ldl_psd_check(M).is_psd
             x = solve_exact(M, m)
             if e.psd:
                 assert e.in_range == (not isinstance(x, InRangeFailure))
@@ -245,7 +293,7 @@ class TestSchurEliminationDifferential:
             for c in corners(rng, kind, M, m):
                 X = bordered(c, m, M)
                 verdict = e.bordered(c)
-                assert verdict.is_psd == psd_check(X).is_psd
+                assert verdict.is_psd == ldl_psd_check(X).is_psd
                 if not verdict.is_psd:
                     rejects += 1
                     w = verdict.witness
@@ -255,20 +303,12 @@ class TestSchurEliminationDifferential:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_against_sympy(self, kind):
-        # Sylvester's criterion: PSD exactly when every principal minor is >= 0
-        sympy = pytest.importorskip("sympy")
         rng = random.Random(f"sympy-{kind}")
         for _ in range(12):
             M, m = random_block(rng, kind, rng.randrange(1, 5))
             e = eliminate(M, m)
             for c in corners(rng, kind, M, m)[:2]:
-                X = bordered(c, m, M)
-                S = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in X.row(i)]
-                                  for i in range(X.rows)])
-                minors = (S.extract(list(idx), list(idx)).det(method="bareiss")
-                          for r in range(1, X.rows + 1)
-                          for idx in itertools.combinations(range(X.rows), r))
-                assert e.bordered(c).is_psd == all(d >= 0 for d in minors)
+                assert e.bordered(c).is_psd == sympy_psd(bordered(c, m, M))
 
     def test_zero_trailing_block(self):
         M = RatMatrix.zeros(3)

@@ -133,7 +133,7 @@ def test_the_edge_cases_occur(certs):
     assert all(levels[n][0] > levels[n][1] for n in certs if "window" in n or "zero_gamma" in n)
     for name in (n for n in certs if n.endswith("_zero_sum")):
         c = certs[name]
-        combined = c.lam + c.gam.scale(c.Delta)
+        combined = oracles.add_scaled(c.lam, c.gam, c.Delta)
         assert any(combined.entry(i, j) == 0 and c.lam.entry(i, j) > 0
                    for i in range(c.t + 2) for j in range(c.t + 2) if i != j)
     half = [n for n in certs if n.endswith("_balanced_at_half")]

@@ -3,22 +3,34 @@ from fractions import Fraction
 
 import pytest
 
-from lscert.exact_linalg import RatMatrix, psd_check, rat_from_decimal
+from lscert.exact_linalg import RatMatrix, integer_rows, psd_check, rat_from_decimal
 from lscert.pep_builder import (
     STAR,
+    PepOperator,
     StepsizePattern,
     assemble_Z,
-    bordered,
     index_pairs,
-    m_vec,
     M_mat,
     mat_pos,
     pair_table,
-    sum_a,
 )
-from oracles import basis, interpolation_matrix, pair_matrices, pep_matrices
+from oracles import (add_scaled, basis, bordered, interpolation_matrix, matvec, pair_matrices,
+                     pep_matrices)
 
 F = Fraction
+
+
+def m_vec(h: StepsizePattern, arg: RatMatrix) -> tuple[Fraction, ...]:
+    """m(arg), the first column of the dual slack matrix below its corner, read
+    off assemble_Z."""
+    return assemble_Z(h, F(0), arg, F(0)).row(0)[1:]
+
+
+def sum_a(h: StepsizePattern, arg: RatMatrix) -> tuple[Fraction, ...]:
+    """sum_{i != j} arg_{i,j} a_{i,j}, from the operator's integer sums."""
+    rows = integer_rows(arg.to_rows())
+    op = PepOperator(h, rows, rows)
+    return tuple(F(v, op.sum_dens[0]) for v in op.sums[0])
 
 
 def pattern(*vals):
@@ -119,7 +131,7 @@ class TestPepData:
                                   for c in range(n)] for r in range(n)])
         for i, j in index_pairs(2):
             dx = tuple(p - q for p, q in zip(x[i], x[j]))
-            img = Hm.matvec(dx)
+            img = matvec(Hm, dx)
             norm2 = sum((v * v for v in img), F(0))
             B = d[i, j]["B"]
             tr = sum((G.entry(r, c) * B.entry(c, r) for r in range(n) for c in range(n)), F(0))
@@ -185,7 +197,7 @@ class TestZAssembly:
                 pm = pair_matrices(vectors, i, j)
                 c = arg.entry(mat_pos(i, t), mat_pos(j, t))
                 dense_sum = [s + c * a for s, a in zip(dense_sum, pm["a"])]
-                dense_Z = dense_Z + interpolation_matrix(pm).scale(c)
+                dense_Z = add_scaled(dense_Z, interpolation_matrix(pm), c)
             assert sum_a(h, arg) == tuple(dense_sum)
             assert assemble_Z(h, F(0), arg, F(0)) == dense_Z
 
@@ -214,7 +226,7 @@ class TestZAssembly:
 
     @pytest.mark.parametrize("t", [1, 2, 3, 7, 15, 31])
     def test_closed_forms_match_pair_table_on_every_pair(self, t):
-        # M_mat, m_vec and sum_a against the table applied to seeded random
+        # M_mat, m and sum_a (views of PepOperator) against the table applied to seeded random
         # multipliers on every pair (the dense reference above stops at t = 7)
         rng = random.Random(100 + t)
         h = StepsizePattern(tuple(F(rng.randrange(1, 60), rng.randrange(1, 9)) for _ in range(t)))
@@ -249,20 +261,20 @@ class TestZAssembly:
         for _ in range(10):
             lam, gam = rand_arg(), rand_arg()
             c = F(rng.randrange(-4, 5), rng.randrange(1, 4))
-            combo = lam + gam.scale(c)
+            combo = add_scaled(lam, gam, c)
             assert m_vec(h29_15, combo) == tuple(
                 a + c * b for a, b in zip(m_vec(h29_15, lam), m_vec(h29_15, gam)))
-            assert M_mat(h29_15, combo) == M_mat(h29_15, lam) + M_mat(h29_15, gam).scale(c)
+            assert M_mat(h29_15, combo) == add_scaled(M_mat(h29_15, lam), M_mat(h29_15, gam), c)
 
     def test_rescaling_identity(self):
         # with m(lam) = 0: Z(lam + d*gam, d) psd iff the rescaled bordered matrix is psd
         h, lam, gam = two_step_family(F(1))
         for d in (F(1, 100), F(1, 16), F(1, 7)):
-            Z = assemble_Z(h, F(0), lam + gam.scale(d), d)
+            Z = assemble_Z(h, F(0), add_scaled(lam, gam, d), d)
             resc = bordered(
                 h.sum_h,
                 m_vec(h, gam),
-                M_mat(h, lam) + M_mat(h, gam).scale(d),
+                add_scaled(M_mat(h, lam), M_mat(h, gam), d),
             )
             assert psd_check(Z).is_psd == psd_check(resc).is_psd
 
