@@ -227,10 +227,10 @@ def schur_eliminate(A: Sequence[Sequence[int]], b: Sequence[int], den: int) -> S
 
     Bareiss's fraction-free elimination (every division exact) on the upper
     triangle of the symmetric matrix [[A, b], [b', 0]], pivoting on the
-    largest remaining diagonal entry of A; the border
-    row and column are carried along and never pivoted on. After a pivot d
-    the remaining entries are d times the Schur complement, d > 0, so every
-    sign test reads the Schur complement directly and the final corner is
+    largest remaining diagonal entry of A; the border row and column are
+    carried along and never pivoted on. After a pivot d the remaining
+    entries are d times the Schur complement, d > 0, so every sign test
+    reads the Schur complement directly and the final corner is
     -d * m' M^+ m times den.
     """
     n = len(A)
