@@ -11,14 +11,23 @@ start. Problems here are desk scale (PSD blocks up to ~130), so every
 factorization is dense. The implementation is deterministic: no randomness
 enters anywhere.
 
+The PSD blocks of one order travel as one (k, p, p) stack: ``ConeDims``
+builds, once per cone, the map that gathers a cone vector into the stacks
+(with the unpack weights) and the positions that scatter packed stacks back.
+Each scaling map, the Schur products and each eigenvalue test then make one
+numpy call per order, not one per block. A stacked call runs the same
+kernel on each matrix as the per-block call did, so every float is the one
+the per-block loops computed; where blocks are summed or compared (the
+Schur matrix, mu, the cone's least eigenvalue) that happens block by block
+in the order of ``ConeDims.psd``.
+
 The Schur system is worked in column blocks of BLOCK = 128. Its LP part is
 summed per block pair over the LP rows that touch both blocks (the rows of
 a certificate search hold about three nonzeros each; each block's rows are
 gathered once per solve), and solves with its Cholesky factor run block
 forward and back substitution. At order up to BLOCK there is one block: the
-off-block products are empty, so the substitution makes the two dense
-solves of the unblocked form, and (when no LP row is all zero) the LP sum is
-the one dense product, bit for bit.
+substitution is the two dense solves of the unblocked form, and (when no LP
+row is all zero) the LP sum is the one dense product, bit for bit.
 
 Symmetric matrices travel in "svec" form: upper-triangle entries row-major,
 off-diagonals scaled by sqrt(2), so Euclidean inner products equal trace
@@ -33,25 +42,6 @@ from typing import NamedTuple
 import numpy as np
 
 SQRT2 = float(np.sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class ConeDims:
-    nonneg: int
-    psd: tuple[int, ...] = ()
-
-    @property
-    def svec_dims(self) -> tuple[int, ...]:
-        return tuple(p * (p + 1) // 2 for p in self.psd)
-
-    @property
-    def total(self) -> int:
-        return self.nonneg + sum(self.svec_dims)
-
-    @property
-    def order(self) -> int:
-        """Barrier parameter nu: one per LP coordinate, p per PSD block."""
-        return self.nonneg + sum(self.psd)
 
 
 class _SvecLayout(NamedTuple):
@@ -71,9 +61,88 @@ def _svec_layout(p: int) -> _SvecLayout:
     on_diag = iu == ju
     layout = _SvecLayout(iu * p + ju, ju * p + iu, np.flatnonzero(on_diag),
                          np.where(on_diag, 1.0, SQRT2), np.where(on_diag, 1.0, 1.0 / SQRT2))
-    for a in layout:
-        a.flags.writeable = False
-    return layout
+    return _read_only(layout)
+
+
+def _read_only(arrays):
+    for a in arrays:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return arrays
+
+
+class _OrderStack(NamedTuple):
+    """The k PSD blocks of order p in a cone, walked as one (k, p, p) stack."""
+    p: int
+    gather: np.ndarray    # (k, p, p): cone-vector position of each matrix entry
+    unpack_w: np.ndarray  # (p, p): 1 on the diagonal, 1/sqrt(2) off it
+    diag: np.ndarray      # (k, p): cone-vector position of each diagonal entry
+
+
+class _Scatter(NamedTuple):
+    """Where each cone-vector entry comes from in the LP part followed by
+    every stack flattened (``_join``), with its svec weight."""
+    pick: np.ndarray
+    pack_w: np.ndarray    # 1 on the LP part and the diagonals, sqrt(2) off them
+
+
+@dataclass(frozen=True)
+class ConeDims:
+    nonneg: int
+    psd: tuple[int, ...] = ()
+
+    @functools.cached_property
+    def svec_dims(self) -> tuple[int, ...]:
+        return tuple(p * (p + 1) // 2 for p in self.psd)
+
+    @functools.cached_property
+    def total(self) -> int:
+        return self.nonneg + sum(self.svec_dims)
+
+    @property
+    def order(self) -> int:
+        """Barrier parameter nu: one per LP coordinate, p per PSD block."""
+        return self.nonneg + sum(self.psd)
+
+    @functools.cached_property
+    def slots(self) -> tuple[tuple[int, int], ...]:
+        """(stack, place in the stack) of each PSD block, in ``psd`` order;
+        the stacks hold one order each, in order of first appearance."""
+        orders = list(dict.fromkeys(self.psd))
+        seen = [0] * len(orders)
+        out = []
+        for p in self.psd:
+            g = orders.index(p)
+            out.append((g, seen[g]))
+            seen[g] += 1
+        return tuple(out)
+
+    @functools.cached_property
+    def stacks(self) -> tuple[_OrderStack, ...]:
+        """The gather map of each stack (see ``slots``)."""
+        starts = np.cumsum((self.nonneg,) + self.svec_dims)[:-1]
+        stacks = []
+        for p in dict.fromkeys(self.psd):
+            lay = _svec_layout(p)
+            at = starts[np.array(self.psd) == p][:, None]  # where each block's svec starts
+            svec_of = np.empty(p * p, dtype=np.intp)        # svec position of each entry
+            svec_of[lay.upper] = svec_of[lay.lower] = np.arange(len(lay.upper))
+            stacks.append(_read_only(_OrderStack(
+                p, (at + svec_of).reshape(-1, p, p), lay.unpack_w[svec_of].reshape(p, p),
+                at + lay.diag)))
+        return tuple(stacks)
+
+    @functools.cached_property
+    def scatter(self) -> _Scatter:
+        pick = np.arange(self.total)
+        pack_w = np.ones(self.total)
+        starts = np.cumsum((self.nonneg,) + self.svec_dims)[:-1]
+        ends = np.cumsum((self.nonneg,) + tuple(len(g.gather) * g.p ** 2 for g in self.stacks))
+        for p, at, (g, i) in zip(self.psd, starts, self.slots):
+            lay = _svec_layout(p)
+            pick[at:at + len(lay.upper)] = ends[g] + i * p * p + lay.upper
+            pack_w[at:at + len(lay.upper)] = lay.pack_w
+        return _read_only(_Scatter(pick, pack_w))
 
 
 def svec_pack(M: np.ndarray) -> np.ndarray:
@@ -94,13 +163,6 @@ def svec_unpack(v: np.ndarray, p: int) -> np.ndarray:
 
 def svec_identity(p: int) -> np.ndarray:
     return svec_pack(np.eye(p))
-
-
-def _svec_diag(d: np.ndarray) -> np.ndarray:
-    """svec of diag(d): d at the diagonal positions, zero elsewhere."""
-    v = np.zeros(len(d) * (len(d) + 1) // 2)
-    v[_svec_layout(len(d)).diag] = d
-    return v
 
 
 @dataclass
@@ -139,22 +201,31 @@ class ConicResult:
 
 
 def _blocks(dims: ConeDims, v: np.ndarray) -> list[np.ndarray]:
-    """The PSD blocks of cone vector v, unpacked; for a batch of cone vectors
-    (one per row), one stack of matrices per block."""
-    blocks, off = [], dims.nonneg
-    for p, sd in zip(dims.psd, dims.svec_dims):
-        blocks.append(svec_unpack(v[..., off:off + sd], p))
-        off += sd
-    return blocks
+    """The PSD blocks of cone vector v, one (k, p, p) stack per entry of
+    ``dims.stacks``; for a batch of cone vectors (one per row), one
+    (rows, k, p, p) stack per order."""
+    return [v[..., g.gather] * g.unpack_w for g in dims.stacks]
 
 
-def _join(lp: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
-    """The cone vector with LP part lp and PSD blocks ``blocks``."""
-    return np.concatenate([lp] + [svec_pack(M) for M in blocks])
+def _join(dims: ConeDims, lp: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
+    """The cone vector with LP part lp and PSD blocks ``stacks`` (one per order)."""
+    sc = dims.scatter
+    return np.concatenate([lp] + [S.reshape(-1) for S in stacks])[sc.pick] * sc.pack_w
+
+
+def _in_psd_order(dims: ConeDims, per_order: list) -> list:
+    """Per-block items in ``dims.psd`` order, from one stacked item per order."""
+    return [per_order[g][i] for g, i in dims.slots]
+
+
+def _mT(M: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack transposed (a view)."""
+    return M.swapaxes(-1, -2)
 
 
 class _Scaling:
-    """Nesterov-Todd scaling point for one iterate."""
+    """Nesterov-Todd scaling point for one iterate. R, Rinv, W and d hold one
+    stack per order of ``dims.stacks``."""
 
     def __init__(self, dims: ConeDims, x: np.ndarray, s: np.ndarray):
         self.dims = dims
@@ -164,70 +235,77 @@ class _Scaling:
         self.R: list[np.ndarray] = []
         self.Rinv: list[np.ndarray] = []
         self.d: list[np.ndarray] = []
-        for X, S in zip(_blocks(dims, x), _blocks(dims, s)):
-            Lx = np.linalg.cholesky(X)
-            Ls = np.linalg.cholesky(S)
-            U, d, Vt = np.linalg.svd(Ls.T @ Lx)
-            self.R.append(Lx @ Vt.T / np.sqrt(d))
-            self.Rinv.append((U / np.sqrt(d)).T @ Ls.T)
+        for XS in _blocks(dims, np.array((x, s))):
+            Lx, Ls = np.linalg.cholesky(XS)
+            U, d, Vt = np.linalg.svd(_mT(Ls) @ Lx)
+            r = np.sqrt(d)[..., None, :]
+            self.R.append(Lx @ _mT(Vt) / r)
+            self.Rinv.append(_mT(U / r) @ _mT(Ls))
             self.d.append(d)
-        self.W = [R @ R.T for R in self.R]
+        self.W = [R @ _mT(R) for R in self.R]
+        # the Jordan-product denominators (d_i + d_j) / 2
+        self.jordan = [0.5 * (d[..., :, None] + d[..., None, :]) for d in self.d]
 
     def mu(self) -> float:
         return (float(np.dot(self.lam_lp, self.lam_lp)) +
-                sum(float(np.dot(d, d)) for d in self.d)) / max(self.dims.order, 1)
+                sum(float(np.dot(d, d)) for d in _in_psd_order(self.dims, self.d))
+                ) / max(self.dims.order, 1)
 
     # --- scaled-space maps ------------------------------------------------
     def scale_x(self, dx: np.ndarray) -> np.ndarray:
         """dx_bar = W^{-1}(dx): LP divide by w; PSD Rinv (.) Rinv'."""
-        return _join(dx[:self.dims.nonneg] / self.w,
-                     [Rinv @ M @ Rinv.T for M, Rinv in zip(_blocks(self.dims, dx), self.Rinv)])
+        return _join(self.dims, dx[:self.dims.nonneg] / self.w,
+                     [Rinv @ M @ _mT(Rinv) for M, Rinv in zip(_blocks(self.dims, dx), self.Rinv)])
 
     def scale_s(self, ds: np.ndarray) -> np.ndarray:
         """ds_bar = W(ds): LP multiply by w; PSD R' (.) R."""
-        return _join(ds[:self.dims.nonneg] * self.w,
-                     [R.T @ M @ R for M, R in zip(_blocks(self.dims, ds), self.R)])
+        return _join(self.dims, ds[:self.dims.nonneg] * self.w,
+                     [_mT(R) @ M @ R for M, R in zip(_blocks(self.dims, ds), self.R)])
 
     def unscale_x(self, dxb: np.ndarray) -> np.ndarray:
         """dx = W(dx_bar): LP multiply by w; PSD R (.) R'."""
-        return _join(dxb[:self.dims.nonneg] * self.w,
-                     [R @ M @ R.T for M, R in zip(_blocks(self.dims, dxb), self.R)])
+        return _join(self.dims, dxb[:self.dims.nonneg] * self.w,
+                     [R @ M @ _mT(R) for M, R in zip(_blocks(self.dims, dxb), self.R)])
 
     def apply_w2(self, v: np.ndarray) -> np.ndarray:
         """W^2(v): LP multiply by w^2; PSD W (.) W with W = R R'."""
-        return _join(v[:self.dims.nonneg] * self.w ** 2,
+        return _join(self.dims, v[:self.dims.nonneg] * self.w ** 2,
                      [W @ M @ W for M, W in zip(_blocks(self.dims, v), self.W)])
 
     # --- complementarity algebra in scaled space ---------------------------
     def solve_jordan(self, rhs: np.ndarray) -> np.ndarray:
         """Solve lam o z = rhs for z, with lam the (diagonal) scaled point."""
-        return _join(rhs[:self.dims.nonneg] / self.lam_lp,
-                     [M / (0.5 * (d[:, None] + d[None, :]))
-                      for M, d in zip(_blocks(self.dims, rhs), self.d)])
+        return _join(self.dims, rhs[:self.dims.nonneg] / self.lam_lp,
+                     [M / J for M, J in zip(_blocks(self.dims, rhs), self.jordan)])
 
     def jordan_product(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         l = self.dims.nonneg
-        return _join(u[:l] * v[:l], [0.5 * (U @ V + V @ U) for U, V in
-                                     zip(_blocks(self.dims, u), _blocks(self.dims, v))])
+        return _join(self.dims, u[:l] * v[:l],
+                     [0.5 * (U @ V + V @ U) for U, V in _blocks(self.dims, np.array((u, v)))])
 
     def lam_sq(self) -> np.ndarray:
         """lam o lam, with lam = W^{-1} x = W s the scaled point (diagonal in
         the PSD blocks)."""
-        return np.concatenate([self.lam_lp ** 2] + [_svec_diag(d ** 2) for d in self.d])
+        out = np.zeros(self.dims.total)
+        out[:self.dims.nonneg] = self.lam_lp ** 2
+        for g, d in zip(self.dims.stacks, self.d):
+            out[g.diag] = d ** 2
+        return out
 
-    def step_to_boundary(self, dbar: np.ndarray) -> float:
-        """Largest alpha with lam + alpha*dbar staying in the cone (scaled space)."""
-        alpha = np.inf
-        lp = dbar[:self.dims.nonneg]
-        neg = lp < 0
-        if neg.any():
-            alpha = min(alpha, float(np.min(-self.lam_lp[neg] / lp[neg])))
-        for M, d in zip(_blocks(self.dims, dbar), self.d):
-            emin = float(np.linalg.eigvalsh(M / np.sqrt(d)[:, None] / np.sqrt(d)[None, :])[0])
-            if emin < 0:
-                alpha = min(alpha, 1.0 / (-emin))
-        return alpha
-
+    def step_to_boundary(self, *dbars: np.ndarray) -> list[float]:
+        """For each direction dbar, the largest alpha with lam + alpha*dbar
+        staying in the cone (scaled space); one eigenvalue call per order."""
+        D = np.array(dbars)
+        lp = D[:, :self.dims.nonneg]
+        # the least of -lam/dbar over dbar < 0; a NaN there leaves the LP part out
+        lp_step = np.divide(-self.lam_lp, lp, out=np.full(lp.shape, np.inf),
+                            where=lp < 0).min(axis=1, initial=np.inf)
+        steps = [np.where(np.isnan(lp_step), np.inf, lp_step)[:, None]]
+        for M, d in zip(_blocks(self.dims, D), self.d):
+            r = np.sqrt(d)
+            emin = np.linalg.eigvalsh(M / r[..., :, None] / r[..., None, :])[..., 0]
+            steps.append(np.divide(1.0, -emin, out=np.full(emin.shape, np.inf), where=emin < 0))
+        return np.concatenate(steps, axis=1).min(axis=1).tolist()
 
 @dataclass
 class SolverOptions:
@@ -246,7 +324,8 @@ def _identity_point(dims: ConeDims) -> np.ndarray:
 
 def _min_cone_eig(dims: ConeDims, v: np.ndarray) -> float:
     m = float(v[:dims.nonneg].min()) if dims.nonneg else np.inf
-    return min([m] + [float(np.linalg.eigvalsh(M)[0]) for M in _blocks(dims, v)])
+    least = [np.linalg.eigvalsh(M)[..., 0] for M in _blocks(dims, v)]
+    return min([m] + [float(e) for e in _in_psd_order(dims, least)])
 
 
 def _shift_into_cone(dims: ConeDims, v: np.ndarray, floor: float = 1.0) -> np.ndarray:
@@ -270,8 +349,15 @@ class _Schur:
 
     def __init__(self, A: np.ndarray, dims: ConeDims):
         self.A = A
+        self.dims = dims
         self.A_lp = A[:dims.nonneg, :]
-        self.blocks = _blocks(dims, A.T)  # one (m, p, p) stack per block
+        # per order: the columns of A unpacked, as one (k, m, p, p) stack
+        cols = np.arange(A.shape[1])[:, None, None]
+        self.blocks = []
+        for g in dims.stacks:
+            T = A[g.gather[:, None], cols]
+            T *= g.unpack_w
+            self.blocks.append(T)
         # per column block: its columns, the LP rows with a nonzero in them,
         # and those rows on those columns (all blocks: at most one copy of A_lp)
         self.lp_blocks = []
@@ -299,10 +385,11 @@ class _Schur:
             P = Gi[pi].T @ (Gj[pj] * w2[ri[pi], None])
             H[ci, cj] += P
             H[cj, ci] += P.T
-        for T, R in zip(self.blocks, sc.R):
-            # H_jk = <R' A_j R, R' A_k R>
-            Tt = np.matmul(np.matmul(R.T, T), R)
-            U = svec_pack(Tt)
+        # H_jk = <R' A_j R, R' A_k R>, one congruence per order, summed block
+        # by block in psd order
+        packed = [svec_pack(np.matmul(np.matmul(_mT(R)[:, None], T), R[:, None]))
+                  for T, R in zip(self.blocks, sc.R)]
+        for U in _in_psd_order(self.dims, packed):
             H += U @ U.T
         return H
 
@@ -332,7 +419,7 @@ def _chol_factor(H: np.ndarray, events: _Events, first_rung: int = 0
     for rung in range(JITTER_RUNGS):
         if rung >= first_rung:
             try:
-                L = np.linalg.cholesky(H + jitter * np.eye(H.shape[0]))
+                L = np.linalg.cholesky(H + jitter * np.eye(H.shape[0]) if rung else H)
             except np.linalg.LinAlgError:
                 events.jitter_retries += 1
             else:
@@ -345,8 +432,10 @@ def _chol_factor(H: np.ndarray, events: _Events, first_rung: int = 0
 def _substitute(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve L L' x = rhs by block forward and back substitution: a dense
     solve with each diagonal block of L (then of L') and matrix-vector
-    products with the blocks off it."""
+    products with the blocks off it (none at one block)."""
     cols = _col_blocks(len(rhs))
+    if len(cols) == 1:
+        return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
     x = rhs.copy()  # solved in place, block by block: L z = rhs, then L' x = z
     for k in cols:
         x[k] = np.linalg.solve(L[k, k], x[k] - L[k, :k.start] @ x[:k.start])
@@ -463,7 +552,7 @@ def solve_conic(
         def newton(dtarget: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             # A' W^2 A dy = -rx - A' W(dtarget_unscaled) - A' W^2 rs
             wd = sc.unscale_x(dtarget)
-            rhs = -rx - A.T @ wd - A.T @ sc.apply_w2(rs)
+            rhs = -rx - A.T @ wd - aw2rs
             dy = chol.solve(rhs)
             dy += chol.solve(rhs - H @ dy)  # one round of refinement
             ds = -rs - A @ dy
@@ -473,13 +562,13 @@ def solve_conic(
         lam_sq = sc.lam_sq()
 
         try:
+            aw2rs = A.T @ sc.apply_w2(rs)  # shared by both Newton steps
             # predictor
             d_aff = sc.solve_jordan(-lam_sq)
             dx_a, dy_a, ds_a = newton(d_aff)
             dxb_a = sc.scale_x(dx_a)
             dsb_a = sc.scale_s(ds_a)
-            ap = sc.step_to_boundary(dxb_a)
-            ad = sc.step_to_boundary(dsb_a)
+            ap, ad = sc.step_to_boundary(dxb_a, dsb_a)
             a_aff = min(1.0, ap, ad)
             mu_aff = float(np.dot(x + a_aff * dx_a, s + a_aff * ds_a)) / max(dims.order, 1)
             sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
@@ -490,8 +579,7 @@ def solve_conic(
             dx, dy, ds = newton(d_comb)
             dxb = sc.scale_x(dx)
             dsb = sc.scale_s(ds)
-            ap = sc.step_to_boundary(dxb)
-            ad = sc.step_to_boundary(dsb)
+            ap, ad = sc.step_to_boundary(dxb, dsb)
         except (np.linalg.LinAlgError, FloatingPointError):
             return finish(best, "breakdown", it)
         alpha_p = min(1.0, STEP_FRAC * ap)
@@ -501,4 +589,3 @@ def solve_conic(
         x = x + alpha_p * dx
         y = y + alpha_d * dy
         s = s + alpha_d * ds
-

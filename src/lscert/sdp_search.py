@@ -8,9 +8,10 @@ arithmetic is the arbiter.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,10 +166,6 @@ def _pair_block_maps(table: PairTable) -> tuple[np.ndarray, np.ndarray]:
     return BM * w, Bm * w
 
 
-def _pair_matrix_to_vec(mat: np.ndarray, table: PairTable) -> np.ndarray:
-    return np.array([mat[p.pos] for p in table.pairs])
-
-
 def _pair_rows(table: PairTable, vec: Sequence, zero) -> list[list]:
     """The multiplier matrix, as rows, with vec[e] at pair e's position."""
     dim = table.pattern.t + 2
@@ -176,6 +173,49 @@ def _pair_rows(table: PairTable, vec: Sequence, zero) -> list[list]:
     for v, p in zip(vec, table.pairs):
         rows[p.pos[0]][p.pos[1]] = v
     return rows
+
+
+class _SearchPlan(NamedTuple):
+    """What a search, its float residuals and its rounding read of one
+    pattern. ``_search_plan`` builds it once per pattern; its arrays are
+    read-only because every caller shares them."""
+    table: PairTable
+    systems: tuple              # _equality_systems(table): on lambda, then on gamma
+    lam0: np.ndarray            # the unprioritised affine spaces of the two systems:
+    gam0: np.ndarray            # the particular solutions floated,
+    Nl: np.ndarray              # and the float nullspace bases
+    Ng: np.ndarray
+    BM: np.ndarray              # _pair_block_maps(table)
+    Bm: np.ndarray
+    pos: tuple[np.ndarray, np.ndarray]  # matrix row and column of each pair
+
+    def vec(self, mat: np.ndarray) -> np.ndarray:
+        """The multipliers of a float multiplier matrix, one per pair."""
+        return mat[self.pos]
+
+    def matrix(self, vec: np.ndarray) -> np.ndarray:
+        """The float multiplier matrix with vec[e] at pair e's position."""
+        dim = self.table.pattern.t + 2
+        out = np.zeros((dim, dim))
+        out[self.pos] = vec
+        return out
+
+
+@functools.lru_cache(maxsize=8)
+def _search_plan(pattern: StepsizePattern) -> _SearchPlan:
+    table = pair_table(pattern)
+    systems = _equality_systems(table)
+    (El, rl), (Eg, rg) = systems
+    sp_l = _affine_space(El, rl)
+    sp_g = _affine_space(Eg, rg)
+    plan = _SearchPlan(table, systems,
+                       np.array([float(v) for v in sp_l.particular]),
+                       np.array([float(v) for v in sp_g.particular]),
+                       sp_l.float_basis(), sp_g.float_basis(), *_pair_block_maps(table),
+                       tuple(np.array(rc, dtype=np.intp) for rc in zip(*(p.pos for p in table.pairs))))
+    for a in (*plan[2:8], *plan.pos):
+        a.flags.writeable = False
+    return plan
 
 
 def _balance_residual(table: PairTable, vec: np.ndarray, rhs: np.ndarray) -> float:
@@ -191,15 +231,15 @@ def recompute_residuals(pattern: StepsizePattern, Delta: float,
                         lam: np.ndarray, gam: np.ndarray) -> dict[str, float]:
     """Float feasibility diagnostics for an approximate multiplier pair."""
     t = pattern.t
-    table = pair_table(pattern)
+    plan = _search_plan(pattern)
     sum_h = sum(float(v) for v in pattern.h)
     rhs_l = np.array([float(v) for v in _rhs_lambda(t)])
     rhs_g = np.zeros(t + 1)
     rhs_g[0] = 2.0 * sum_h  # the float sum of h, as in the PSD corner below
 
-    BM, Bm = _pair_block_maps(table)
-    lam_vec = _pair_matrix_to_vec(lam, table)
-    gam_vec = _pair_matrix_to_vec(gam, table)
+    BM, Bm = plan.BM, plan.Bm
+    lam_vec = plan.vec(lam)
+    gam_vec = plan.vec(gam)
     corner = np.zeros((t + 2, t + 2))
     corner[0, 0] = sum_h
     base = svec_pack(corner) + BM.T @ lam_vec + Bm.T @ gam_vec
@@ -216,8 +256,8 @@ def recompute_residuals(pattern: StepsizePattern, Delta: float,
             return float("-inf")
 
     return {
-        "eq_lambda_inf": _balance_residual(table, lam_vec, rhs_l),
-        "eq_gamma_inf": _balance_residual(table, gam_vec, rhs_g),
+        "eq_lambda_inf": _balance_residual(plan.table, lam_vec, rhs_l),
+        "eq_gamma_inf": _balance_residual(plan.table, gam_vec, rhs_g),
         "m_lambda_inf": float(np.max(np.abs(lam[0, 1:]))) / 2.0,
         "min_lambda": float(lam_vec.min()),
         "min_lambda_plus_delta_gamma": float(lam_plus.min()),
@@ -270,6 +310,10 @@ def _validate_search_inputs(pattern: StepsizePattern,
     if not 0 < Delta < cap + Fraction(1, 10 ** 15):
         raise PreconditionError(
             f"Delta={Delta} outside (0, min(1/2, 1/(2 sum h))={float(cap):.6g})")
+    if float(Delta) == 0:
+        raise PreconditionError(
+            f"Delta={Delta} is below the smallest positive float, so the float search "
+            "cannot use it")
 
 
 def solve_approx(pattern: StepsizePattern, Delta: float,
@@ -293,21 +337,15 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
     opts = opts or SolveOptions()
     _validate_search_inputs(pattern, Delta)
     t = pattern.t
-    table = pair_table(pattern)
+    plan = _search_plan(pattern)
+    table = plan.table
     n_pairs = len(table.pairs)
     Df = float(Delta)
 
-    (El, rl), (Eg, rg) = _equality_systems(table)
-    sp_l = _affine_space(El, rl)
-    sp_g = _affine_space(Eg, rg)
-    lam0 = np.array([float(v) for v in sp_l.particular])
-    gam0 = np.array([float(v) for v in sp_g.particular])
-    Nl = sp_l.float_basis()
-    Ng = sp_g.float_basis()
+    lam0, gam0, Nl, Ng, BM, Bm = plan[2:8]
     kl, kg = Nl.shape[1], Ng.shape[1]
     m = kl + kg
 
-    BM, Bm = _pair_block_maps(table)
     dim = t + 2
     sum_h = float(pattern.sum_h)
     box = 1e4 * (1.0 + sum_h)
@@ -363,8 +401,8 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
     fc = FloatCertificate(
         pattern=pattern,
         Delta=Df,
-        lam=np.array(_pair_rows(table, lam_vec, 0.0)),
-        gam=np.array(_pair_rows(table, gam_vec, 0.0)),
+        lam=plan.matrix(lam_vec),
+        gam=plan.matrix(gam_vec),
         solver=res.summary(),
     )
     viol = fc.worst_violation()
@@ -402,13 +440,14 @@ def round_to_exact(approx: FloatCertificate, denom_bits: int = 53,
     if not all(np.isfinite(v) for v in approx.residuals.values()):
         raise PreconditionError("approximate certificate has non-finite residuals")
     pattern = approx.pattern
-    table = pair_table(pattern)
+    plan = _search_plan(pattern)
+    table = plan.table
     # a float gap cap is a dyadic rational, so it carries over exactly
     Delta = exact_delta if exact_delta is not None else Fraction(approx.Delta)
 
-    lam_f = _pair_matrix_to_vec(approx.lam, table)
-    gam_f = _pair_matrix_to_vec(approx.gam, table)
-    (El, rl), (Eg, rg) = _equality_systems(table)
+    lam_f = plan.vec(approx.lam)
+    gam_f = plan.vec(approx.gam)
+    (El, rl), (Eg, rg) = plan.systems
 
     # entries below solver noise are meant to sit on the boundary: snap them
     # to exact zero so pivot entries tied to them by the equalities follow

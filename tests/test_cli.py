@@ -329,6 +329,15 @@ class TestGenerate:
         assert code == EXIT_USAGE
         assert "exceeds" in err and "not found" not in err
 
+    def test_delta_below_float_range_exits_2(self, capsys):
+        # 10^-400 lies in (0, cap) exactly, but its float is 0.0: it is
+        # refused before the search, with the exact value in the message
+        delta = "1/1" + "0" * 400
+        code, out, err = run(capsys, "generate", "--pattern", "1", "--delta", delta)
+        assert code == EXIT_USAGE and not out
+        assert f"Delta={delta} is below the smallest positive float" in err
+        assert "Delta=0.0" not in err
+
     @pytest.mark.parametrize("flag,value", [("--denom-bits", "-5"), ("--denom-bits", "0"),
                                             ("--max-iters", "-1"), ("--max-iters", "0")])
     def test_nonpositive_count_exits_2(self, capsys, flag, value):

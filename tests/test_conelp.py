@@ -1,5 +1,7 @@
-"""The solver's svec layer, its factor-once blocked Newton solves and its stall stop."""
+"""The solver's svec layer, its stacked block walk, its factor-once blocked
+Newton solves and its stall stop."""
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,8 +43,6 @@ def test_svec_layer_matches_per_call_reference(p):
     v = rng.standard_normal(sd)
     assert same_bytes(conelp.svec_unpack(v, p), svec_unpack_per_call(v, p))
     assert same_bytes(conelp.svec_identity(p), svec_pack_per_call(np.eye(p)))
-    d = rng.random(p)
-    assert same_bytes(conelp._svec_diag(d), svec_pack_per_call(np.diag(d)))
     # a batch of matrices, as _Schur carries one per constraint column
     T = rng.standard_normal((6, p, p))
     assert same_bytes(conelp.svec_pack(T), svec_pack_per_call(T))
@@ -66,7 +66,7 @@ def test_svec_layout_is_shared_read_only():
     rng = np.random.default_rng(3)
     outputs = [conelp.svec_pack(rng.standard_normal((5, 5))),
                conelp.svec_unpack(rng.standard_normal(15), 5),
-               conelp.svec_identity(5), conelp._svec_diag(rng.random(5))]
+               conelp.svec_identity(5)]
     for a in layout:
         with pytest.raises(ValueError):
             a[0] = a[0]
@@ -168,12 +168,14 @@ def test_failed_triangular_solve_moves_to_next_rung(monkeypatch):
 
 
 def schur_unblocked(schur, sc) -> np.ndarray:
-    """Reference: H = A' W^2 A with the LP part as one dense product."""
+    """Reference: H = A' W^2 A with the LP part as one dense product and the
+    PSD part added block by block in psd order, from the per-block unpack of
+    A's columns and the per-block scaling."""
     m = schur.A.shape[1]
     H = np.zeros((m, m))
     if len(schur.A_lp):
         H += schur.A_lp.T @ (schur.A_lp * (sc.w ** 2)[:, None])
-    for T, R in zip(schur.blocks, sc.R):
+    for T, R in zip(ref_schur_blocks(schur.A, schur.dims), per_block(sc).R):
         U = conelp.svec_pack(np.matmul(np.matmul(R.T, T), R))
         H += U @ U.T
     return H
@@ -342,19 +344,25 @@ def test_primal_solve_ends_optimal(monkeypatch):
 def test_small_search_keeps_the_unblocked_arithmetic(monkeypatch):
     """t7's Schur order (120) is one block: the default run, a run with one
     block at any order and a run through the unblocked formulas agree bit
-    for bit."""
+    for bit. So does a run through the per-block references below (one numpy
+    call per PSD block, as the solver walked the blocks before it stacked
+    them), at t3 and at t7."""
     seen = conic_results(monkeypatch)
-    pattern = bundled_pattern("t7")
-    runs = [sdp_search.solve_approx(pattern, 1e-5)]
+    t3, t7 = StepsizePattern.from_text("1.5,4.9,1.5"), bundled_pattern("t7")
+    runs = [sdp_search.solve_approx(t7, 1e-5), sdp_search.solve_approx(t3, 1e-4)]
     monkeypatch.setattr(conelp, "BLOCK", 10 ** 9)
-    runs.append(sdp_search.solve_approx(pattern, 1e-5))
+    runs.append(sdp_search.solve_approx(t7, 1e-5))
     monkeypatch.setattr(conelp._Schur, "factor", schur_unblocked)
     monkeypatch.setattr(conelp, "_substitute", substitute_unblocked)
-    runs.append(sdp_search.solve_approx(pattern, 1e-5))
-    assert seen[0].y.shape == (120,)
-    for fc, res in zip(runs[1:], seen[1:]):
-        assert fc.tobytes() == runs[0].tobytes()
-        assert same_point(res, seen[0]) and res.summary() == seen[0].summary()
+    runs.append(sdp_search.solve_approx(t7, 1e-5))
+    monkeypatch.setattr(conelp, "_Scaling", PerBlockScaling)
+    monkeypatch.setattr(conelp, "_min_cone_eig", ref_min_cone_eig)
+    runs += [sdp_search.solve_approx(t7, 1e-5), sdp_search.solve_approx(t3, 1e-4)]
+    assert seen[0].y.shape == (120,) and seen[1].y.shape == (28,)
+    for k, (fc, res) in enumerate(zip(runs, seen)):
+        first = 1 if k in (1, 5) else 0  # t3 or t7
+        assert fc.tobytes() == runs[first].tobytes()
+        assert same_point(res, seen[first]) and res.summary() == seen[first].summary()
 
 
 def test_float_certificate_carries_the_solver_summary():
@@ -489,36 +497,99 @@ def ref_schur_blocks(A, dims):
     return blocks
 
 
+class PerBlockScaling:
+    """The scaling as the solver held it before the stacks: one matrix per
+    block, with the maps above. In place of conelp._Scaling, a solve runs
+    every PSD step block by block."""
+
+    def __init__(self, dims, x, s):
+        l = dims.nonneg
+        self.dims = dims
+        self.w = np.sqrt(x[:l] / s[:l])
+        self.lam_lp = np.sqrt(x[:l] * s[:l])
+        self.R, self.Rinv, self.d = ref_scaling(dims, x, s)
+
+    def mu(self):
+        return (float(np.dot(self.lam_lp, self.lam_lp)) +
+                sum(float(np.dot(d, d)) for d in self.d)) / max(self.dims.order, 1)
+
+    def lam_sq(self):
+        return np.concatenate([self.lam_lp ** 2] +
+                              [svec_pack_per_call(np.diag(d ** 2)) for d in self.d])
+
+    def step_to_boundary(self, *dbars):
+        return [ref_step_to_boundary(self, dbar) for dbar in dbars]
+
+    scale_x, scale_s, unscale_x = ref_scale_x, ref_scale_s, ref_unscale_x
+    apply_w2, solve_jordan, jordan_product = ref_apply_w2, ref_solve_jordan, ref_jordan_product
+
+
+def per_block(sc):
+    """sc, with R, Rinv and d as one array per block in psd order."""
+    if isinstance(sc, PerBlockScaling):
+        return sc
+    blocks = {k: conelp._in_psd_order(sc.dims, getattr(sc, k)) for k in ("R", "Rinv", "d")}
+    return SimpleNamespace(dims=sc.dims, w=sc.w, lam_lp=sc.lam_lp, **blocks)
+
+
 def interior_point(dims, rng):
     return np.concatenate([rng.random(dims.nonneg) + 0.1] +
                           [conelp.svec_pack(spd(p, rng)) for p in dims.psd])
 
 
-@pytest.mark.parametrize("dims", [conelp.ConeDims(4, (3, 5)), conelp.ConeDims(0, (5, 3)),
-                                  conelp.ConeDims(6)], ids=["lp+3+5", "5+3", "lp"])
+WALKED = [conelp.ConeDims(4, (3, 5)), conelp.ConeDims(0, (5, 3)), conelp.ConeDims(6),
+          conelp.ConeDims(2, (3, 5, 3)), conelp.ConeDims(3, (5, 5)),
+          conelp.ConeDims(0, (17, 17)), conelp.ConeDims(0, (4,))]
+WALKED_IDS = ["lp+3+5", "5+3", "lp", "lp+3+5+3", "lp+5+5", "17+17", "4"]
+
+
+@pytest.mark.parametrize("dims", WALKED, ids=WALKED_IDS)
 def test_block_walker_matches_per_block_loops(dims):
     rng = np.random.default_rng(21)
     x, s = interior_point(dims, rng), interior_point(dims, rng)
     sc = conelp._Scaling(dims, x, s)
     for got, ref in zip((sc.R, sc.Rinv, sc.d), ref_scaling(dims, x, s)):
+        got = conelp._in_psd_order(dims, got)
         assert len(got) == len(ref) == len(dims.psd)
         assert all(same_bytes(a, b) for a, b in zip(got, ref))
+    ref_sc = PerBlockScaling(dims, x, s)
+    assert np.float64(sc.mu()).tobytes() == np.float64(ref_sc.mu()).tobytes()
+    assert same_bytes(sc.lam_sq(), ref_sc.lam_sq())
+    sc_ = per_block(sc)
     directions = [rng.standard_normal(dims.total) for _ in range(4)] + [x, s]
     for u, v in zip(directions, directions[1:]):
-        assert same_bytes(sc.scale_x(u), ref_scale_x(sc, u))
-        assert same_bytes(sc.scale_s(u), ref_scale_s(sc, u))
-        assert same_bytes(sc.unscale_x(u), ref_unscale_x(sc, u))
-        assert same_bytes(sc.apply_w2(u), ref_apply_w2(sc, u))
-        assert same_bytes(sc.solve_jordan(u), ref_solve_jordan(sc, u))
-        assert same_bytes(sc.jordan_product(u, v), ref_jordan_product(sc, u, v))
+        assert same_bytes(sc.scale_x(u), ref_scale_x(sc_, u))
+        assert same_bytes(sc.scale_s(u), ref_scale_s(sc_, u))
+        assert same_bytes(sc.unscale_x(u), ref_unscale_x(sc_, u))
+        assert same_bytes(sc.apply_w2(u), ref_apply_w2(sc_, u))
+        assert same_bytes(sc.solve_jordan(u), ref_solve_jordan(sc_, u))
+        assert same_bytes(sc.jordan_product(u, v), ref_jordan_product(sc_, u, v))
         for dbar in (u, sc.scale_x(u), sc.scale_s(u)):
-            alpha = sc.step_to_boundary(dbar)
-            assert type(alpha) is type(ref_step_to_boundary(sc, dbar))
-            assert np.float64(alpha).tobytes() == np.float64(ref_step_to_boundary(sc, dbar)).tobytes()
+            (alpha,) = sc.step_to_boundary(dbar)
+            assert type(alpha) is type(ref_step_to_boundary(sc_, dbar))
+            assert np.float64(alpha).tobytes() == np.float64(ref_step_to_boundary(sc_, dbar)).tobytes()
+        # two directions in one call, as the predictor and the corrector ask
+        both = sc.step_to_boundary(sc.scale_x(u), sc.scale_s(v))
+        assert np.array(both).tobytes() == np.array(
+            [ref_step_to_boundary(sc_, sc.scale_x(u)), ref_step_to_boundary(sc_, sc.scale_s(v))]).tobytes()
         assert conelp._min_cone_eig(dims, u) == ref_min_cone_eig(dims, u)
     # a direction into the cone never reaches its boundary
-    assert sc.step_to_boundary(sc.scale_x(x)) == ref_step_to_boundary(sc, sc.scale_x(x)) == np.inf
+    assert sc.step_to_boundary(sc.scale_x(x)) == [ref_step_to_boundary(sc_, sc.scale_x(x))] == [np.inf]
     A = rng.standard_normal((dims.total, 7))
     schur = conelp._Schur(A, dims)
-    assert all(same_bytes(a, b) for a, b in zip(schur.blocks, ref_schur_blocks(A, dims)))
-    assert len(schur.blocks) == len(dims.psd)
+    assert all(same_bytes(a, b) for a, b in
+               zip(conelp._in_psd_order(dims, schur.blocks), ref_schur_blocks(A, dims)))
+    assert len(schur.blocks) == len(set(dims.psd))  # one stack per order
+
+
+@pytest.mark.parametrize("dims", WALKED, ids=WALKED_IDS)
+def test_schur_adds_blocks_in_psd_order(dims):
+    """H from the stacked congruences equals, byte for byte, H summed block
+    by block in psd order from the per-block references, also where orders
+    interleave (3, 5, 3)."""
+    rng = np.random.default_rng(22)
+    x, s = interior_point(dims, rng), interior_point(dims, rng)
+    A = rng.standard_normal((dims.total, 9))
+    schur = conelp._Schur(A, dims)
+    H = schur.factor(conelp._Scaling(dims, x, s))
+    assert same_bytes(H, schur_unblocked(schur, PerBlockScaling(dims, x, s)))

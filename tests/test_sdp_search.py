@@ -1,6 +1,10 @@
 from fractions import Fraction
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +278,53 @@ def _count_affine_spaces(monkeypatch) -> list:
 
     monkeypatch.setattr(sdp_search, "_affine_space", counted)
     return calls
+
+
+class TestSearchPlan:
+    def test_built_once_and_read_by_the_whole_generation(self, monkeypatch):
+        """A pattern's plan is built once and shared read-only; with it built,
+        a generation builds no pair table, and its only row reductions are
+        the rounding's prioritised ones (one per system at 53 bits)."""
+        pattern = StepsizePattern.from_text("1.5,4.9,1.5")
+        plan = sdp_search._search_plan(pattern)
+        assert sdp_search._search_plan(StepsizePattern.from_text("1.5,4.9,1.5")) is plan
+        for a in (*plan[2:8], *plan.pos):
+            assert not a.flags.writeable
+        table = pair_table(pattern)
+        assert plan.table == table and plan.systems == _equality_systems(table)
+        for got, ref in zip(plan[6:8], _pair_block_maps(table)):
+            assert got.tobytes() == ref.tobytes()
+        tables = []
+        monkeypatch.setattr(sdp_search, "pair_table", lambda h: tables.append(h))
+        calls = _count_affine_spaces(monkeypatch)
+        cert, report, _ = generate(pattern, F(1, 10 ** 4))
+        assert report.overall and not tables and len(calls) == 2
+
+
+LONG_CERTIFICATES = Path(__file__).resolve().parents[1] / "tools" / "generate_long_certificates.py"
+T15_REQUEST = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("long_certificates", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+plan = tool.PLAN["t15"]
+cert, report, eps_min = tool.generate(
+    tool.bundled_pattern("t15"), plan["delta"],
+    tool.SolveOptions(max_iters=plan["iters"], tol=plan["tol"]), denom_bits=plan["bits"])
+print(report.overall, tool.rat_to_str(cert.Delta), eps_min <= cert.epsilon)
+"""
+
+
+def test_t15_generation_verifies_at_one_blas_thread():
+    """The t15 request of the benchmark and of the long-certificate tool
+    (Delta 1e-6, tol 1e-10, 400 iterations, 80 bits) ends in a verified
+    certificate at one BLAS thread; its search sits near its tolerance, so
+    a change in the solver's last bits can turn it into NotFound."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", T15_REQUEST, str(LONG_CERTIFICATES)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["True", "1/1000000", "True"]
 
 
 class TestRounding:

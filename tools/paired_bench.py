@@ -10,14 +10,18 @@ shared host falls on both sides. For every end-to-end metric of
 BENCHMARK.json it prints each side's median and quartiles, the number of
 pairs in which HEAD was better (ties count for neither), the ratio of the
 medians, and whether the medians differ by more than BASE's interquartile
-range. ``--json FILE`` also writes every run. Nothing in the repository is
-edited.
+range. Each run's line also shows the percentile that ``op_tail_ms`` read
+and the number of samples; when that percentile differs between runs, a
+warning says so, since ``op_tail_ms`` then moves with the sample count and
+not with any request's speed. ``--json FILE`` also writes every run.
+Nothing in the repository is edited.
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -26,6 +30,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# run.py's report of the tail, e.g. "op_tail_ms  140.2 ms  (p90 of 480 samples, 47 beyond)"
+TAIL_LINE = re.compile(r"^op_tail_ms\s.*\(p([\d.]+) of (\d+) samples", re.MULTILINE)
 
 
 def git(*args: str) -> str:
@@ -53,7 +59,30 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
     out = json.loads(lines[-1])
     metrics = {k: v["value"] for k, v in out["metrics"].items()}
     return {"exit_code": proc.returncode, "attempted": out["attempted"],
-            "failed": out["failed"], "metrics": metrics}
+            "failed": out["failed"], "metrics": metrics, "tail": tail_rung(proc.stdout)}
+
+
+def tail_rung(stdout: str) -> dict | None:
+    """The percentile op_tail_ms read and the number of samples it read it
+    from, as run.py prints them; None when the line is missing."""
+    m = TAIL_LINE.search(stdout)
+    return {"percentile": float(m.group(1)), "samples": int(m.group(2))} if m else None
+
+
+def rung_text(tail: dict | None) -> str:
+    return "tail rung unknown" if tail is None else \
+        f"tail p{tail['percentile']:g} of {tail['samples']} samples"
+
+
+def rung_warning(runs: dict[str, list[dict]]) -> str | None:
+    """A warning when op_tail_ms read different percentiles across runs."""
+    rungs = {side: [f"p{r['tail']['percentile']:g}" if r["tail"] else "?" for r in side_runs]
+             for side, side_runs in runs.items()}
+    if len({p for ps in rungs.values() for p in ps}) <= 1:
+        return None
+    return ("warning: op_tail_ms read different percentiles across runs (" +
+            "; ".join(f"{side} {' '.join(ps)}" for side, ps in rungs.items()) +
+            "): the rung moves with the sample count, and op_tail_ms with it")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -105,8 +134,8 @@ def main(argv=None) -> int:
                 r["pair"], r["ran_first"] = i, side == order[0]
                 runs[side].append(r)
                 m = r["metrics"]
-                print(f"pair {i} {side}: " + ", ".join(f"{k} {m[k]:.4g}" for k in m),
-                      flush=True)
+                print(f"pair {i} {side}: " + ", ".join(f"{k} {m[k]:.4g}" for k in m) +
+                      f"; {rung_text(r['tail'])}", flush=True)
     summary = summarize(runs, end_to_end)
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs; "
           f"base {commits['base'][:10]}, head {commits['head'][:10]}")
@@ -118,6 +147,9 @@ def main(argv=None) -> int:
         ratio = "-" if s["ratio"] is None else f"{s['ratio']:.3f}"
         print(f"{name:<12} {cells[0]:<32} {cells[1]:<32} {s['head_wins']}/{s['pairs']:<4} "
               f"{ratio:<7} {s['gap_exceeds_base_iqr']}")
+    warning = rung_warning(runs)
+    if warning:
+        print(warning)
     failed = sum(r["exit_code"] != 0 for side in runs.values() for r in side)
     if failed:
         print(f"{failed} run(s) exited nonzero: a request failed its check")
