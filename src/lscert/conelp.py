@@ -36,6 +36,7 @@ inner products.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -231,17 +232,20 @@ class _Scaling:
         self.dims = dims
         l = dims.nonneg
         self.w = np.sqrt(x[:l] / s[:l])
+        self.w2 = self.w ** 2
         self.lam_lp = np.sqrt(x[:l] * s[:l])
         self.R: list[np.ndarray] = []
         self.Rinv: list[np.ndarray] = []
         self.d: list[np.ndarray] = []
+        self.sqrt_d: list[tuple[np.ndarray, np.ndarray]] = []
         for XS in _blocks(dims, np.array((x, s))):
             Lx, Ls = np.linalg.cholesky(XS)
             U, d, Vt = np.linalg.svd(_mT(Ls) @ Lx)
-            r = np.sqrt(d)[..., None, :]
-            self.R.append(Lx @ _mT(Vt) / r)
-            self.Rinv.append(_mT(U / r) @ _mT(Ls))
+            r = np.sqrt(d)
+            self.R.append(Lx @ _mT(Vt) / r[..., None, :])
+            self.Rinv.append(_mT(U / r[..., None, :]) @ _mT(Ls))
             self.d.append(d)
+            self.sqrt_d.append((r[..., :, None], r[..., None, :]))  # for the step lengths
         self.W = [R @ _mT(R) for R in self.R]
         # the Jordan-product denominators (d_i + d_j) / 2
         self.jordan = [0.5 * (d[..., :, None] + d[..., None, :]) for d in self.d]
@@ -269,7 +273,7 @@ class _Scaling:
 
     def apply_w2(self, v: np.ndarray) -> np.ndarray:
         """W^2(v): LP multiply by w^2; PSD W (.) W with W = R R'."""
-        return _join(self.dims, v[:self.dims.nonneg] * self.w ** 2,
+        return _join(self.dims, v[:self.dims.nonneg] * self.w2,
                      [W @ M @ W for M, W in zip(_blocks(self.dims, v), self.W)])
 
     # --- complementarity algebra in scaled space ---------------------------
@@ -301,9 +305,8 @@ class _Scaling:
         lp_step = np.divide(-self.lam_lp, lp, out=np.full(lp.shape, np.inf),
                             where=lp < 0).min(axis=1, initial=np.inf)
         steps = [np.where(np.isnan(lp_step), np.inf, lp_step)[:, None]]
-        for M, d in zip(_blocks(self.dims, D), self.d):
-            r = np.sqrt(d)
-            emin = np.linalg.eigvalsh(M / r[..., :, None] / r[..., None, :])[..., 0]
+        for M, (col, row) in zip(_blocks(self.dims, D), self.sqrt_d):
+            emin = np.linalg.eigvalsh(M / col / row)[..., 0]
             steps.append(np.divide(1.0, -emin, out=np.full(emin.shape, np.inf), where=emin < 0))
         return np.concatenate(steps, axis=1).min(axis=1).tolist()
 
@@ -377,7 +380,7 @@ class _Schur:
     def factor(self, sc: _Scaling) -> np.ndarray:
         m = self.A.shape[1]
         H = np.zeros((m, m))
-        w2 = sc.w ** 2
+        w2 = sc.w2
         for c, rows, G in self.lp_blocks:
             H[c, c] += G.T @ (G * w2[rows, None])
         for i, j, pi, pj in self.lp_pairs:
@@ -414,7 +417,6 @@ def _chol_factor(H: np.ndarray, events: _Events, first_rung: int = 0
     of the jitter ladder that factors, with that rung; (None, JITTER_RUNGS)
     once every rung has failed. The jitters are 0, then 1e-14 of the mean
     diagonal, growing 100-fold per rung."""
-    base = float(np.mean(np.diag(H))) if H.shape[0] else 1.0
     jitter = 0.0
     for rung in range(JITTER_RUNGS):
         if rung >= first_rung:
@@ -425,6 +427,8 @@ def _chol_factor(H: np.ndarray, events: _Events, first_rung: int = 0
             else:
                 events.factorizations += 1
                 return L, rung
+        if not rung:
+            base = float(np.mean(np.diag(H))) if H.shape[0] else 1.0
         jitter = max(base * 1e-14, jitter * 100 if jitter else base * 1e-14)
     return None, JITTER_RUNGS
 
@@ -521,7 +525,7 @@ def solve_conic(
         if it == opts.max_iters:
             return finish(ConicResult("", y, x, s, dobj, it, it, pres, dres, relgap),
                           "max_iters", it)
-        if not all(map(np.isfinite, (gap, pobj, dobj, pres, dres))):
+        if not all(map(math.isfinite, (gap, pobj, dobj, pres, dres))):
             if best is not None:
                 return finish(best, "breakdown", it)
             inf = float("inf")
