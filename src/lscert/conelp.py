@@ -110,13 +110,7 @@ class ConeDims:
         """(stack, place in the stack) of each PSD block, in ``psd`` order;
         the stacks hold one order each, in order of first appearance."""
         orders = list(dict.fromkeys(self.psd))
-        seen = [0] * len(orders)
-        out = []
-        for p in self.psd:
-            g = orders.index(p)
-            out.append((g, seen[g]))
-            seen[g] += 1
-        return tuple(out)
+        return tuple((orders.index(p), self.psd[:j].count(p)) for j, p in enumerate(self.psd))
 
     @functools.cached_property
     def stacks(self) -> tuple[_OrderStack, ...]:
@@ -138,10 +132,11 @@ class ConeDims:
         pick = np.arange(self.total)
         pack_w = np.ones(self.total)
         starts = np.cumsum((self.nonneg,) + self.svec_dims)[:-1]
-        ends = np.cumsum((self.nonneg,) + tuple(len(g.gather) * g.p ** 2 for g in self.stacks))
+        # where each stack starts in the LP part followed by the flattened stacks
+        bases = np.cumsum((self.nonneg,) + tuple(g.gather.size for g in self.stacks))
         for p, at, (g, i) in zip(self.psd, starts, self.slots):
             lay = _svec_layout(p)
-            pick[at:at + len(lay.upper)] = ends[g] + i * p * p + lay.upper
+            pick[at:at + len(lay.upper)] = bases[g] + i * p * p + lay.upper
             pack_w[at:at + len(lay.upper)] = lay.pack_w
         return _read_only(_Scatter(pick, pack_w))
 
@@ -309,6 +304,7 @@ class _Scaling:
             emin = np.linalg.eigvalsh(M / col / row)[..., 0]
             steps.append(np.divide(1.0, -emin, out=np.full(emin.shape, np.inf), where=emin < 0))
         return np.concatenate(steps, axis=1).min(axis=1).tolist()
+
 
 @dataclass
 class SolverOptions:

@@ -213,7 +213,7 @@ def _search_plan(pattern: StepsizePattern) -> _SearchPlan:
                        np.array([float(v) for v in sp_g.particular]),
                        sp_l.float_basis(), sp_g.float_basis(), *_pair_block_maps(table),
                        tuple(np.array(rc, dtype=np.intp) for rc in zip(*(p.pos for p in table.pairs))))
-    for a in (*plan[2:8], *plan.pos):
+    for a in (plan.lam0, plan.gam0, plan.Nl, plan.Ng, plan.BM, plan.Bm, *plan.pos):
         a.flags.writeable = False
     return plan
 
@@ -342,7 +342,7 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
     n_pairs = len(table.pairs)
     Df = float(Delta)
 
-    lam0, gam0, Nl, Ng, BM, Bm = plan[2:8]
+    lam0, gam0, Nl, Ng, BM, Bm = plan.lam0, plan.gam0, plan.Nl, plan.Ng, plan.BM, plan.Bm
     kl, kg = Nl.shape[1], Ng.shape[1]
     m = kl + kg
 

@@ -288,11 +288,11 @@ class TestSearchPlan:
         pattern = StepsizePattern.from_text("1.5,4.9,1.5")
         plan = sdp_search._search_plan(pattern)
         assert sdp_search._search_plan(StepsizePattern.from_text("1.5,4.9,1.5")) is plan
-        for a in (*plan[2:8], *plan.pos):
+        for a in (plan.lam0, plan.gam0, plan.Nl, plan.Ng, plan.BM, plan.Bm, *plan.pos):
             assert not a.flags.writeable
         table = pair_table(pattern)
         assert plan.table == table and plan.systems == _equality_systems(table)
-        for got, ref in zip(plan[6:8], _pair_block_maps(table)):
+        for got, ref in zip((plan.BM, plan.Bm), _pair_block_maps(table)):
             assert got.tobytes() == ref.tobytes()
         tables = []
         monkeypatch.setattr(sdp_search, "pair_table", lambda h: tables.append(h))
