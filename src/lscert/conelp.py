@@ -129,6 +129,7 @@ class ConeDims:
 
     @functools.cached_property
     def scatter(self) -> _Scatter:
+        """The scatter map from the stacks back to a cone vector (``_join``)."""
         pick = np.arange(self.total)
         pack_w = np.ones(self.total)
         starts = np.cumsum((self.nonneg,) + self.svec_dims)[:-1]

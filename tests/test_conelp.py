@@ -555,26 +555,26 @@ def test_block_walker_matches_per_block_loops(dims):
     ref_sc = PerBlockScaling(dims, x, s)
     assert np.float64(sc.mu()).tobytes() == np.float64(ref_sc.mu()).tobytes()
     assert same_bytes(sc.lam_sq(), ref_sc.lam_sq())
-    sc_ = per_block(sc)
+    pb = per_block(sc)
     directions = [rng.standard_normal(dims.total) for _ in range(4)] + [x, s]
     for u, v in zip(directions, directions[1:]):
-        assert same_bytes(sc.scale_x(u), ref_scale_x(sc_, u))
-        assert same_bytes(sc.scale_s(u), ref_scale_s(sc_, u))
-        assert same_bytes(sc.unscale_x(u), ref_unscale_x(sc_, u))
-        assert same_bytes(sc.apply_w2(u), ref_apply_w2(sc_, u))
-        assert same_bytes(sc.solve_jordan(u), ref_solve_jordan(sc_, u))
-        assert same_bytes(sc.jordan_product(u, v), ref_jordan_product(sc_, u, v))
+        assert same_bytes(sc.scale_x(u), ref_scale_x(pb, u))
+        assert same_bytes(sc.scale_s(u), ref_scale_s(pb, u))
+        assert same_bytes(sc.unscale_x(u), ref_unscale_x(pb, u))
+        assert same_bytes(sc.apply_w2(u), ref_apply_w2(pb, u))
+        assert same_bytes(sc.solve_jordan(u), ref_solve_jordan(pb, u))
+        assert same_bytes(sc.jordan_product(u, v), ref_jordan_product(pb, u, v))
         for dbar in (u, sc.scale_x(u), sc.scale_s(u)):
             (alpha,) = sc.step_to_boundary(dbar)
-            assert type(alpha) is type(ref_step_to_boundary(sc_, dbar))
-            assert np.float64(alpha).tobytes() == np.float64(ref_step_to_boundary(sc_, dbar)).tobytes()
+            assert type(alpha) is type(ref_step_to_boundary(pb, dbar))
+            assert np.float64(alpha).tobytes() == np.float64(ref_step_to_boundary(pb, dbar)).tobytes()
         # two directions in one call, as the predictor and the corrector ask
         both = sc.step_to_boundary(sc.scale_x(u), sc.scale_s(v))
         assert np.array(both).tobytes() == np.array(
-            [ref_step_to_boundary(sc_, sc.scale_x(u)), ref_step_to_boundary(sc_, sc.scale_s(v))]).tobytes()
+            [ref_step_to_boundary(pb, sc.scale_x(u)), ref_step_to_boundary(pb, sc.scale_s(v))]).tobytes()
         assert conelp._min_cone_eig(dims, u) == ref_min_cone_eig(dims, u)
     # a direction into the cone never reaches its boundary
-    assert sc.step_to_boundary(sc.scale_x(x)) == [ref_step_to_boundary(sc_, sc.scale_x(x))] == [np.inf]
+    assert sc.step_to_boundary(sc.scale_x(x)) == [ref_step_to_boundary(pb, sc.scale_x(x))] == [np.inf]
     A = rng.standard_normal((dims.total, 7))
     schur = conelp._Schur(A, dims)
     assert all(same_bytes(a, b) for a, b in
