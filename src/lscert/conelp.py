@@ -29,6 +29,14 @@ forward and back substitution. At order up to BLOCK there is one block: the
 substitution is the two dense solves of the unblocked form, and (when no LP
 row is all zero) the LP sum is the one dense product, bit for bit.
 
+A solve holds one dense problem and one set of per-iteration factors: A,
+the Schur data (A's PSD rows unpacked per order and its LP rows gathered per
+column block), and per iteration the scaling, the Schur matrix H and its
+Cholesky factor (at a jitter rung, also one jittered copy of H). The
+least-squares start runs before the Schur data exist, since LAPACK works on
+a copy of A; each iteration drops the last one's scaling, H and factor before
+it forms its own; and the congruences run one column block at a time.
+
 Symmetric matrices travel in "svec" form: upper-triangle entries row-major,
 off-diagonals scaled by sqrt(2), so Euclidean inner products equal trace
 inner products.
@@ -374,10 +382,10 @@ class _Schur:
                 if len(pi):
                     self.lp_pairs.append((i, j, pi, pj))
 
-    def factor(self, sc: _Scaling) -> np.ndarray:
+    def lp_part(self, w2: np.ndarray) -> np.ndarray:
+        """A_lp' diag(w2) A_lp, summed per column block pair."""
         m = self.A.shape[1]
         H = np.zeros((m, m))
-        w2 = sc.w2
         for c, rows, G in self.lp_blocks:
             H[c, c] += G.T @ (G * w2[rows, None])
         for i, j, pi, pj in self.lp_pairs:
@@ -385,12 +393,23 @@ class _Schur:
             P = Gi[pi].T @ (Gj[pj] * w2[ri[pi], None])
             H[ci, cj] += P
             H[cj, ci] += P.T
-        # H_jk = <R' A_j R, R' A_k R>, one congruence per order, summed block
-        # by block in psd order
-        packed = [svec_pack(np.matmul(np.matmul(_mT(R)[:, None], T), R[:, None]))
-                  for T, R in zip(self.blocks, sc.R)]
+        return H
+
+    def factor(self, sc: _Scaling) -> np.ndarray:
+        m = self.A.shape[1]
+        H = self.lp_part(sc.w2)
+        # H_jk = <R' A_j R, R' A_k R>: one congruence per order and column
+        # block, packed into one (k, m, svec) buffer per order; then each
+        # block's product, formed in one m x m buffer, is added in psd order
+        packed = []
+        for T, R in zip(self.blocks, sc.R):
+            P = np.empty(T.shape[:2] + (len(_svec_layout(R.shape[-1]).upper),))
+            for c in _col_blocks(m):
+                P[:, c] = svec_pack(np.matmul(np.matmul(_mT(R)[:, None], T[:, c]), R[:, None]))
+            packed.append(P)
+        UUt = np.empty((m, m))
         for U in _in_psd_order(self.dims, packed):
-            H += U @ U.T
+            H += np.matmul(U, U.T, out=UUt)
         return H
 
 
@@ -408,6 +427,15 @@ class _Events:
     lstsq_fallbacks: int = 0    # solves left to least squares once every rung failed
 
 
+def _jittered(H: np.ndarray, jitter: float) -> np.ndarray:
+    """H + jitter*I, bit for bit for jitter >= 0 (H's diagonal is nonnegative,
+    so the ladder's jitters are), without forming I: adding 0.0 turns each
+    -0.0 into +0.0, as the identity's zeros did."""
+    Hj = H + 0.0
+    Hj[np.diag_indices_from(Hj)] += jitter
+    return Hj
+
+
 def _chol_factor(H: np.ndarray, events: _Events, first_rung: int = 0
                  ) -> tuple[np.ndarray | None, int]:
     """Cholesky factor of H + jitter*I at the first rung >= ``first_rung``
@@ -418,7 +446,7 @@ def _chol_factor(H: np.ndarray, events: _Events, first_rung: int = 0
     for rung in range(JITTER_RUNGS):
         if rung >= first_rung:
             try:
-                L = np.linalg.cholesky(H + jitter * np.eye(H.shape[0]) if rung else H)
+                L = np.linalg.cholesky(_jittered(H, jitter) if rung else H)
             except np.linalg.LinAlgError:
                 events.jitter_retries += 1
             else:
@@ -489,15 +517,16 @@ def solve_conic(
     if b.shape != (m,) or c.shape != (n,):
         raise ValueError("b/c shapes do not match A")
 
-    schur = _Schur(A, dims)
     events = _Events()
     # least-squares start shifted into the cone: keeps the initial residuals
     # commensurate with the complementarity scale (for b = 0, as in every
-    # certificate search, the least-squares x is zero)
+    # certificate search, the least-squares x is zero). It runs before the
+    # Schur data exist, since lstsq works on a copy of A.
     y = np.linalg.lstsq(A, c, rcond=None)[0]
     s = _shift_into_cone(dims, c - A @ y, floor=init_scale)
     x0 = np.linalg.lstsq(A.T, b, rcond=None)[0] if b.any() else np.zeros(n)
     x = _shift_into_cone(dims, x0, floor=init_scale)
+    schur = _Schur(A, dims)
 
     bnorm = 1.0 + float(np.linalg.norm(b))
     cnorm = 1.0 + float(np.linalg.norm(c))
@@ -542,6 +571,7 @@ def solve_conic(
         if it - best.snapshot_iteration >= STALL_WINDOW:
             return finish(best, "stalled", it)
 
+        sc = H = chol = None  # the last iteration's, released before the next are formed
         try:
             sc = _Scaling(dims, x, s)
             mu = sc.mu()

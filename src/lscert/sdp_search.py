@@ -354,12 +354,18 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
     rest = [e for e, p in enumerate(table.pairs) if p.pos[0] != 0]
     n_rest = len(rest)
 
-    rows_c: list[np.ndarray] = []
-    rows_A: list[np.ndarray] = []
+    # the problem is written block by block into one A and one c
+    l_rows = 4 * n_rest + len(star_rows) + n_pairs
+    dims = ConeDims(l_rows, (dim, dim))
+    A = np.empty((dims.total, m))
+    c = np.empty(dims.total)
+    at = 0
 
     def add_rows(cs: np.ndarray, As: np.ndarray) -> None:
-        rows_c.append(cs)
-        rows_A.append(As)
+        nonlocal at
+        A[at:at + len(cs)] = As
+        c[at:at + len(cs)] = cs
+        at += len(cs)
 
     Az = np.concatenate([Nl, np.zeros((n_pairs, kg))], axis=1)
     Gz = np.concatenate([np.zeros((n_pairs, kl)), Ng], axis=1)
@@ -374,8 +380,7 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
     add_rows(np.full(n_rest, box) - lam0[rest], Az[rest])
     add_rows(np.full(n_pairs, box) - gam0, Gz)
     add_rows(np.full(n_rest, box) + gam0[rest], -Gz[rest])
-
-    l_rows = sum(len(cs) for cs in rows_c)
+    del Az, Gz
 
     corner = np.zeros((dim, dim))
     corner[0, 0] = sum_h
@@ -386,10 +391,6 @@ def solve_approx(pattern: StepsizePattern, Delta: float,
     # PSD block at gap Delta: trailing block shifts by Delta*M(gamma)
     add_rows(corner_svec + BM.T @ lam0 + (Bm + Df * BM).T @ gam0,
              -np.concatenate([BM.T @ Nl, (Bm + Df * BM).T @ Ng], axis=1))
-
-    A = np.concatenate(rows_A, axis=0)
-    c = np.concatenate(rows_c, axis=0)
-    dims = ConeDims(l_rows, (dim, dim))
     res = solve_conic(A, np.zeros(m), c, dims,
                       SolverOptions(max_iters=opts.max_iters, tol=min(1e-9, opts.tol / 10),
                                     verbose=verbose),

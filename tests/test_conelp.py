@@ -124,11 +124,20 @@ def indefinite(n: int, rng) -> np.ndarray:
     return (Q * eig) @ Q.T
 
 
+def signed_zero_psd(n: int, rng) -> np.ndarray:
+    # singular_psd with its zero row and column written as -0.0 off the
+    # diagonal: the factor at rung 1 shows whether the jitter kept their sign
+    H = singular_psd(n, rng)
+    H[0, 1:] = H[1:, 0] = -0.0
+    return H
+
+
 @pytest.mark.parametrize("kind,expected", [
     (spd, {"factorizations": 1, "jitter_retries": 0, "lstsq_fallbacks": 0}),
     (singular_psd, {"factorizations": 1, "jitter_retries": 1, "lstsq_fallbacks": 0}),
     (nearly_psd, {"factorizations": 1, "jitter_retries": 2, "lstsq_fallbacks": 0}),
     (indefinite, {"factorizations": 0, "jitter_retries": 6, "lstsq_fallbacks": 4}),
+    (signed_zero_psd, {"factorizations": 1, "jitter_retries": 1, "lstsq_fallbacks": 0}),
 ])
 def test_factor_once_matches_per_call_solve(kind, expected):
     rng = np.random.default_rng(11)
@@ -141,6 +150,12 @@ def test_factor_once_matches_per_call_solve(kind, expected):
         dy = newton_dy(chol.solve, H, rhs)
         assert dy.tobytes() == ref.tobytes()
     assert vars(events) == expected
+    if kind is signed_zero_psd:
+        # the factor is the one of H + jitter*I with the identity formed
+        jitter = float(np.mean(np.diag(H))) * 1e-14
+        assert chol.rung == 1 and np.signbit(H[1:, 0]).all()
+        assert same_bytes(chol.L, np.linalg.cholesky(H + jitter * np.eye(9)))
+        assert not np.signbit(chol.L[1:, 0]).any()
 
 
 def test_failed_triangular_solve_moves_to_next_rung(monkeypatch):
@@ -169,12 +184,18 @@ def test_failed_triangular_solve_moves_to_next_rung(monkeypatch):
 
 def schur_unblocked(schur, sc) -> np.ndarray:
     """Reference: H = A' W^2 A with the LP part as one dense product and the
-    PSD part added block by block in psd order, from the per-block unpack of
-    A's columns and the per-block scaling."""
+    PSD part added as ``add_blocks_in_psd_order`` adds it."""
     m = schur.A.shape[1]
     H = np.zeros((m, m))
     if len(schur.A_lp):
         H += schur.A_lp.T @ (schur.A_lp * (sc.w ** 2)[:, None])
+    return add_blocks_in_psd_order(H, schur, sc)
+
+
+def add_blocks_in_psd_order(H, schur, sc) -> np.ndarray:
+    """Reference: the PSD part of H added to it block by block in psd order,
+    each block's congruence over all m columns at once, from the per-block
+    unpack of A's columns and the per-block scaling."""
     for T, R in zip(ref_schur_blocks(schur.A, schur.dims), per_block(sc).R):
         U = conelp.svec_pack(np.matmul(np.matmul(R.T, T), R))
         H += U @ U.T
@@ -593,3 +614,19 @@ def test_schur_adds_blocks_in_psd_order(dims):
     schur = conelp._Schur(A, dims)
     H = schur.factor(conelp._Scaling(dims, x, s))
     assert same_bytes(H, schur_unblocked(schur, PerBlockScaling(dims, x, s)))
+
+
+@pytest.mark.parametrize("dims", WALKED, ids=WALKED_IDS)
+def test_chunked_congruence_adds_blocks_in_psd_order(dims):
+    """Past one column block the congruence runs in chunks of BLOCK columns
+    (300 = 128 + 128 + 44): H still equals, byte for byte, the blocked LP
+    part plus each block's product over all columns at once, in psd order."""
+    rng = np.random.default_rng(23)
+    x, s = interior_point(dims, rng), interior_point(dims, rng)
+    A = rng.standard_normal((dims.total, 300))
+    schur = conelp._Schur(A, dims)
+    sc = conelp._Scaling(dims, x, s)
+    assert [c.stop - c.start for c in conelp._col_blocks(300)] == [128, 128, 44]
+    H = schur.factor(sc)
+    ref = add_blocks_in_psd_order(schur.lp_part(sc.w2), schur, PerBlockScaling(dims, x, s))
+    assert same_bytes(H, ref)

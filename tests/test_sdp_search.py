@@ -1,10 +1,14 @@
 from fractions import Fraction
 
+import contextlib
+import importlib.util
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -325,6 +329,48 @@ def test_t15_generation_verifies_at_one_blas_thread():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["True", "1/1000000", "True"]
+
+
+def test_long_certificate_tool_exits_1_when_a_certificate_fails(monkeypatch, capsys):
+    """The tool's check survives ``python -O``: a report that does not verify
+    ends the run with exit status 1, and nothing is written."""
+    spec = importlib.util.spec_from_file_location("long_certificates", LONG_CERTIFICATES)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    failed = SimpleNamespace(overall=False, failed_conditions=lambda: ["psd_at_delta"])
+    writes = []
+    monkeypatch.setattr(tool, "generate", lambda *args, **kwargs: (None, failed, None))
+    monkeypatch.setattr(tool, "save_certificate", lambda *args: writes.append(args))
+    monkeypatch.setattr(tool, "sync_registry", lambda *args: writes.append(args))
+    assert tool.main(["t15"]) == 1 and not writes
+    assert "t15: exact verification failed: ['psd_at_delta']" in capsys.readouterr().err
+
+
+def test_t15_search_holds_one_copy_of_its_problem(monkeypatch):
+    """A t15 search (the tool's settings, plan prebuilt) allocates at its
+    peak at most 3.5 times its dense problem matrix A (6.1 MB): A itself,
+    the Schur data and one set of per-iteration factors. Holding the row
+    blocks next to A, or two iterations' Schur matrices at once, reads
+    about 4.5 times."""
+    pattern = bundled_pattern("t15")
+    sdp_search._search_plan(pattern)
+    sizes = []
+    real = sdp_search.solve_conic
+
+    def recording(A, *args, **kwargs):
+        sizes.append(A.nbytes)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(sdp_search, "solve_conic", recording)
+    tracemalloc.start()
+    try:
+        with contextlib.suppress(NotFound):  # the ending is not in question here
+            solve_approx(pattern, 1e-6, SearchOptions(max_iters=400, tol=1e-10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (a_bytes,) = sizes
+    assert peak <= 3.5 * a_bytes, f"peak {peak / a_bytes:.2f} x A"
 
 
 class TestRounding:

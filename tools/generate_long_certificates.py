@@ -7,12 +7,15 @@ Run from the repository root:
 
 Each certificate is exactly verified before being written to
 src/lscert/data/certs/<id>.json, and the pattern registry entry is synced to
-the values the certificate actually achieves. Generation beyond t = 31 is
-outside the supported desk scale.
+the values the certificate actually achieves; the tool exits 1 if one does
+not verify. Each pattern's line gives its time and the process's peak
+resident memory so far (ru_maxrss). Generation beyond t = 31 is outside the
+supported desk scale.
 """
 from __future__ import annotations
 
 import json
+import resource
 import sys
 import time
 from fractions import Fraction
@@ -43,7 +46,12 @@ def sync_registry(pattern_id: str, delta: Fraction, epsilon: Fraction) -> None:
     reg_path.write_text(json.dumps(reg, indent=1) + "\n")
 
 
-def main(ids: list[str]) -> None:
+def peak_rss_mb() -> float:
+    """The peak resident memory of this process so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def main(ids: list[str]) -> int:
     for pid in ids:
         plan = PLAN[pid]
         pattern = bundled_pattern(pid)
@@ -53,14 +61,19 @@ def main(ids: list[str]) -> None:
             pattern, plan["delta"],
             SolveOptions(max_iters=plan["iters"], tol=plan["tol"]),
             denom_bits=plan["bits"])
-        assert report.overall
+        if not report.overall:
+            print(f"{pid}: exact verification failed: {report.failed_conditions()}",
+                  file=sys.stderr)
+            return 1
         out = DATA / "certs" / f"{pid}.json"
         save_certificate(cert, out)
         sync_registry(pid, cert.Delta, cert.epsilon)
         print(f"{pid}: verified exactly; eps = {float(cert.epsilon):.3e}, rate "
               f"coefficient {float(cert.pattern.avg_h - cert.epsilon):.9f} "
-              f"[{time.time() - t0:.0f}s] -> {out}", flush=True)
+              f"[{time.time() - t0:.0f}s, peak RSS {peak_rss_mb():.0f} MB] -> {out}",
+              flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:] or list(PLAN))
+    sys.exit(main(sys.argv[1:] or list(PLAN)))
