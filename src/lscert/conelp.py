@@ -403,7 +403,8 @@ class _Schur:
         # block's product, formed in one m x m buffer, is added in psd order
         packed = []
         for T, R in zip(self.blocks, sc.R):
-            P = np.empty(T.shape[:2] + (len(_svec_layout(R.shape[-1]).upper),))
+            p = R.shape[-1]
+            P = np.empty(T.shape[:2] + (p * (p + 1) // 2,))
             for c in _col_blocks(m):
                 P[:, c] = svec_pack(np.matmul(np.matmul(_mT(R)[:, None], T[:, c]), R[:, None]))
             packed.append(P)
