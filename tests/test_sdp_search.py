@@ -362,13 +362,17 @@ def test_t15_search_holds_one_copy_of_its_problem(monkeypatch):
         return real(A, *args, **kwargs)
 
     monkeypatch.setattr(sdp_search, "solve_conic", recording)
+    tracing = tracemalloc.is_tracing()  # as under python -X tracemalloc
     tracemalloc.start()
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
     try:
         with contextlib.suppress(NotFound):  # the ending is not in question here
             solve_approx(pattern, 1e-6, SearchOptions(max_iters=400, tol=1e-10))
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - held
     finally:
-        tracemalloc.stop()
+        if not tracing:
+            tracemalloc.stop()
     (a_bytes,) = sizes
     assert peak <= 3.5 * a_bytes, f"peak {peak / a_bytes:.2f} x A"
 
