@@ -1,5 +1,8 @@
 """Access to the certificates and stepsize patterns shipped with the package.
 
+patterns.json registers each pattern's h. Where certs/<id>.json ships, that
+certificate is the only source of the pattern's Delta and eps; the registry
+holds a delta and epsilon only for patterns without one, as reported values.
 The data directory can be overridden with the LSCERT_DATA environment
 variable (same layout: patterns.json plus certs/<id>.json).
 """
@@ -11,7 +14,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .certificate import Certificate, load_certificate
+from .certificate import Certificate, CertificateError, load_certificate
 from .exact_linalg import rat_from_decimal
 from .pep_builder import StepsizePattern
 
@@ -37,23 +40,41 @@ def pattern_ids() -> list[str]:
     return sorted(pattern_registry())
 
 
-def bundled_pattern(pattern_id: str) -> StepsizePattern:
+def _registry_entry(pattern_id: str) -> dict:
     reg = pattern_registry()
     if pattern_id not in reg:
         raise KeyError(f"unknown pattern id {pattern_id!r}; available: {sorted(reg)}")
-    return StepsizePattern(tuple(rat_from_decimal(v) for v in reg[pattern_id]["h"]))
+    return reg[pattern_id]
+
+
+def _pattern_of(entry: dict) -> StepsizePattern:
+    return StepsizePattern(tuple(rat_from_decimal(v) for v in entry["h"]))
+
+
+def bundled_pattern(pattern_id: str) -> StepsizePattern:
+    return _pattern_of(_registry_entry(pattern_id))
 
 
 def bundled_pattern_meta(pattern_id: str) -> dict[str, Fraction]:
-    """Gap cap and slack the pattern is certified at (pattern registry values)."""
-    reg = pattern_registry()
-    if pattern_id not in reg:
-        raise KeyError(f"unknown pattern id {pattern_id!r}; available: {sorted(reg)}")
-    entry = reg[pattern_id]
-    return {
-        "delta": rat_from_decimal(entry["delta"]),
-        "epsilon": rat_from_decimal(entry["epsilon"]),
-    }
+    """Gap cap ``delta`` and slack ``epsilon`` quoted for the pattern.
+
+    Where certs/<id>.json exists, they are that certificate's own Delta and
+    eps, which the tests verify exactly; otherwise they are the registry's
+    reported ``delta`` and ``epsilon``, which this package does not verify.
+    A certificate whose h is not the registry's pattern raises
+    CertificateError (the data directory may come from LSCERT_DATA).
+    """
+    entry = _registry_entry(pattern_id)
+    path = certificate_path(pattern_id)
+    if not path.is_file():
+        return {"delta": rat_from_decimal(entry["delta"]),
+                "epsilon": rat_from_decimal(entry["epsilon"])}
+    cert, pattern = load_certificate(path), _pattern_of(entry)
+    if cert.pattern != pattern:
+        raise CertificateError(
+            f"{path}: certificate pattern h=({cert.pattern.as_text()}) is not registry "
+            f"pattern {pattern_id} h=({pattern.as_text()})")
+    return {"delta": cert.Delta, "epsilon": cert.epsilon}
 
 
 def certificate_path(pattern_id: str) -> Path:

@@ -306,7 +306,7 @@ def _validate_search_inputs(pattern: StepsizePattern,
     if Delta is None:
         return
     # compared exactly: sum h and Delta may lie past the float range
-    cap = min(Fraction(1, 2), 1 / (2 * pattern.sum_h))
+    cap = delta_cap(pattern)
     if not 0 < Delta < cap + Fraction(1, 10 ** 15):
         raise PreconditionError(
             f"Delta={Delta} outside (0, min(1/2, 1/(2 sum h))={float(cap):.6g})")

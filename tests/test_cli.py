@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lscert.pep_builder
+from lscert import sdp_search
 from lscert.bundled import (bundled_pattern, bundled_pattern_meta, certificate_path,
                             pattern_ids)
 from lscert.cli import EXIT_FALSE, EXIT_OK, EXIT_USAGE, _fixed_up, _sci_up, main
@@ -297,6 +298,30 @@ class TestGenerate:
         assert out_path.exists()
         code, _, _ = run(capsys, "verify", str(out_path))
         assert code == EXIT_OK
+
+    def test_verbose_prints_each_iterate_and_writes_the_same_bytes(self, capsys, tmp_path,
+                                                                   monkeypatch):
+        # one line per iterate the solver evaluates: the start, then one per
+        # Newton step taken (ConicResult.iterations)
+        results = []
+        solve_conic = sdp_search.solve_conic
+
+        def recording(*args, **kwargs):
+            results.append(solve_conic(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(sdp_search, "solve_conic", recording)
+        paths = [tmp_path / "quiet.json", tmp_path / "verbose.json"]
+        argv = ["generate", "--pattern", "2.9,1.5", "--delta", "0.001", "--out"]
+        code, out, _ = run(capsys, *argv, str(paths[0]))
+        assert code == EXIT_OK and "  it " not in out
+        code, out, _ = run(capsys, *argv, str(paths[1]), "--verbose")
+        assert code == EXIT_OK
+        lines = [line for line in out.splitlines() if line.startswith("  it ")]
+        steps = results[-1].iterations
+        assert steps > 0 and len(lines) == steps + 1
+        assert [int(line.split()[1]) for line in lines] == list(range(1, steps + 2))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_two_step_coefficient(self, capsys, tmp_path):
         code, out, _ = run(capsys, "generate", "--pattern", "2.9,1.5",

@@ -4,6 +4,7 @@ import contextlib
 import importlib.util
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -310,12 +311,13 @@ T15_REQUEST = """
 import importlib.util, sys
 spec = importlib.util.spec_from_file_location("long_certificates", sys.argv[1])
 tool = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(tool)
+spec.loader.exec_module(tool)  # puts src on the path
+from lscert.exact_linalg import rat_to_str
 plan = tool.PLAN["t15"]
 cert, report, eps_min = tool.generate(
     tool.bundled_pattern("t15"), plan["delta"],
     tool.SolveOptions(max_iters=plan["iters"], tol=plan["tol"]), denom_bits=plan["bits"])
-print(report.overall, tool.rat_to_str(cert.Delta), eps_min <= cert.epsilon)
+print(report.overall, rat_to_str(cert.Delta), eps_min <= cert.epsilon)
 """
 
 
@@ -331,19 +333,61 @@ def test_t15_generation_verifies_at_one_blas_thread():
     assert proc.stdout.split() == ["True", "1/1000000", "True"]
 
 
-def test_long_certificate_tool_exits_1_when_a_certificate_fails(monkeypatch, capsys):
-    """The tool's check survives ``python -O``: a report that does not verify
-    ends the run with exit status 1, and nothing is written."""
+def _long_certificate_tool():
     spec = importlib.util.spec_from_file_location("long_certificates", LONG_CERTIFICATES)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_long_certificate_tool_exits_1_when_a_certificate_fails(monkeypatch, capsys):
+    """The tool's check survives ``python -O``: a report that does not verify
+    ends the run with exit status 1, and nothing is written."""
+    tool = _long_certificate_tool()
     failed = SimpleNamespace(overall=False, failed_conditions=lambda: ["psd_at_delta"])
     writes = []
     monkeypatch.setattr(tool, "generate", lambda *args, **kwargs: (None, failed, None))
     monkeypatch.setattr(tool, "save_certificate", lambda *args: writes.append(args))
-    monkeypatch.setattr(tool, "sync_registry", lambda *args: writes.append(args))
     assert tool.main(["t15"]) == 1 and not writes
     assert "t15: exact verification failed: ['psd_at_delta']" in capsys.readouterr().err
+
+
+def test_long_certificate_tool_reports_a_failed_search_and_goes_on(monkeypatch, capsys):
+    """A NotFound or RoundingFailure from ``generate`` ends no run with a
+    traceback: the tool prints the message, the best residuals, the solver
+    summary, the time and the peak memory of that id to stderr, goes on to
+    the next id, and exits 1 at the end."""
+    tool = _long_certificate_tool()
+    monkeypatch.setitem(tool.PLAN, "t7", tool.PLAN["t15"])
+    cert = SimpleNamespace(epsilon=F(0), pattern=SimpleNamespace(avg_h=F(3)))
+    outcomes = iter([
+        NotFound("no approximate certificate for t31", residuals={"lambda_nonneg": 7.3e-8},
+                 solver={"status": "stalled", "iterations": 88}),
+        RoundingFailure("re-pivoting left 1 negative entry"),
+        (cert, SimpleNamespace(overall=True), F(0)),
+    ])
+
+    def generating(*args, **kwargs):
+        outcome = next(outcomes)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    writes = []
+    monkeypatch.setattr(tool, "generate", generating)
+    monkeypatch.setattr(tool, "save_certificate", lambda cert, path: writes.append(path.name))
+    assert tool.main(["t31", "t15", "t7"]) == 1
+    assert writes == ["t7.json"]
+    out, err = capsys.readouterr()
+    assert err.splitlines()[:3] == [
+        "t31: NotFound: no approximate certificate for t31",
+        't31: best residuals: {"lambda_nonneg": 7.3e-08}',
+        't31: solver: {"status": "stalled", "iterations": 88}']
+    assert "t15: RoundingFailure: re-pivoting left 1 negative entry" in err
+    for pid in ("t31", "t15"):
+        assert re.search(rf"^{pid}: no certificate written \[\d+s, peak RSS \d+ MB\]$", err,
+                         re.MULTILINE)
+    assert "t7: verified exactly" in out and "Traceback" not in err
 
 
 def test_t15_search_holds_one_copy_of_its_problem(monkeypatch):

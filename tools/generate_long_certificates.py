@@ -6,11 +6,15 @@ Run from the repository root:
     python3 tools/generate_long_certificates.py t15 t31
 
 Each certificate is exactly verified before being written to
-src/lscert/data/certs/<id>.json, and the pattern registry entry is synced to
-the values the certificate actually achieves; the tool exits 1 if one does
-not verify. Each pattern's line gives its time and the process's peak
-resident memory so far (ru_maxrss). Generation beyond t = 31 is outside the
-supported desk scale.
+src/lscert/data/certs/<id>.json. The tool writes certificates only: the Delta
+and eps that `lscert rate --pattern-id` quotes are read from the certificate
+itself (`bundled.bundled_pattern_meta`), so the pattern registry needs no
+update. Each pattern's line gives its time and the process's peak resident
+memory so far (ru_maxrss). A search that ends in NotFound or RoundingFailure,
+or a certificate that does not verify, prints its message (and, for
+NotFound, the best residuals and the solver summary) with the time and peak
+memory to stderr; the tool then goes on to the next id and exits 1 at the
+end. Generation beyond t = 31 is outside the supported desk scale.
 """
 from __future__ import annotations
 
@@ -25,8 +29,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from lscert.bundled import bundled_pattern  # noqa: E402
 from lscert.certificate import save_certificate  # noqa: E402
-from lscert.exact_linalg import rat_to_str  # noqa: E402
-from lscert.sdp_search import SolveOptions, generate  # noqa: E402
+from lscert.sdp_search import NotFound, RoundingFailure, SolveOptions, generate  # noqa: E402
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "lscert" / "data"
 
@@ -38,41 +41,48 @@ PLAN = {
 }
 
 
-def sync_registry(pattern_id: str, delta: Fraction, epsilon: Fraction) -> None:
-    reg_path = DATA / "patterns.json"
-    reg = json.loads(reg_path.read_text())
-    reg[pattern_id]["delta"] = rat_to_str(delta)
-    reg[pattern_id]["epsilon"] = rat_to_str(epsilon)
-    reg_path.write_text(json.dumps(reg, indent=1) + "\n")
-
-
 def peak_rss_mb() -> float:
     """The peak resident memory of this process so far (Linux reports KiB)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main(ids: list[str]) -> int:
+    failed = []
     for pid in ids:
         plan = PLAN[pid]
         pattern = bundled_pattern(pid)
         print(f"{pid}: t={pattern.t}, Delta={plan['delta']}, generating...", flush=True)
         t0 = time.time()
-        cert, report, eps_min = generate(
-            pattern, plan["delta"],
-            SolveOptions(max_iters=plan["iters"], tol=plan["tol"]),
-            denom_bits=plan["bits"])
+
+        def cost() -> str:
+            return f"[{time.time() - t0:.0f}s, peak RSS {peak_rss_mb():.0f} MB]"
+
+        try:
+            cert, report, eps_min = generate(
+                pattern, plan["delta"],
+                SolveOptions(max_iters=plan["iters"], tol=plan["tol"]),
+                denom_bits=plan["bits"])
+        except (NotFound, RoundingFailure) as e:
+            print(f"{pid}: {type(e).__name__}: {e}", file=sys.stderr)
+            if getattr(e, "residuals", None):
+                print(f"{pid}: best residuals: " + json.dumps(
+                    {k: float(f"{v:.3e}") for k, v in e.residuals.items()}), file=sys.stderr)
+            if getattr(e, "solver", None):
+                print(f"{pid}: solver: {json.dumps(e.solver)}", file=sys.stderr)
+            print(f"{pid}: no certificate written {cost()}", file=sys.stderr, flush=True)
+            failed.append(pid)
+            continue
         if not report.overall:
-            print(f"{pid}: exact verification failed: {report.failed_conditions()}",
-                  file=sys.stderr)
-            return 1
+            print(f"{pid}: exact verification failed: {report.failed_conditions()} {cost()}",
+                  file=sys.stderr, flush=True)
+            failed.append(pid)
+            continue
         out = DATA / "certs" / f"{pid}.json"
         save_certificate(cert, out)
-        sync_registry(pid, cert.Delta, cert.epsilon)
         print(f"{pid}: verified exactly; eps = {float(cert.epsilon):.3e}, rate "
               f"coefficient {float(cert.pattern.avg_h - cert.epsilon):.9f} "
-              f"[{time.time() - t0:.0f}s, peak RSS {peak_rss_mb():.0f} MB] -> {out}",
-              flush=True)
-    return 0
+              f"{cost()} -> {out}", flush=True)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
