@@ -62,11 +62,15 @@ def bundled_pattern_meta(pattern_id: str) -> dict[str, Fraction]:
     eps, which the tests verify exactly; otherwise they are the registry's
     reported ``delta`` and ``epsilon``, which this package does not verify.
     A certificate whose h is not the registry's pattern raises
-    CertificateError (the data directory may come from LSCERT_DATA).
+    CertificateError, and a pattern with neither raises FileNotFoundError
+    (the data directory may come from LSCERT_DATA).
     """
     entry = _registry_entry(pattern_id)
     path = certificate_path(pattern_id)
     if not path.is_file():
+        if not {"delta", "epsilon"} <= entry.keys():
+            raise FileNotFoundError(f"no certificate {path}, and registry pattern "
+                                    f"{pattern_id} reports no delta and epsilon")
         return {"delta": rat_from_decimal(entry["delta"]),
                 "epsilon": rat_from_decimal(entry["epsilon"])}
     cert, pattern = load_certificate(path), _pattern_of(entry)

@@ -66,6 +66,15 @@ def test_certificate_of_another_pattern_is_refused(tmp_path, monkeypatch):
                                                    "epsilon": Fraction(1, 10 ** 9)}
 
 
+def test_certified_pattern_without_its_certificate_is_refused(tmp_path, monkeypatch):
+    alt = tmp_path / "data"
+    shutil.copytree(bundled.data_dir(), alt)
+    (alt / "certs" / "t3.json").unlink()
+    monkeypatch.setenv(bundled.ENV_VAR, str(alt))
+    with pytest.raises(FileNotFoundError, match="registry pattern t3 reports no delta"):
+        bundled.bundled_pattern_meta("t3")
+
+
 def test_t2_certificate_is_reproduced_byte_for_byte(tmp_path):
     # the two-step family at eta = 1/10, Delta by dyadic bisection
     out = tmp_path / "t2.json"

@@ -46,17 +46,18 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def cost(t0: float) -> str:
+    """The time since t0 and the peak resident memory so far."""
+    return f"[{time.time() - t0:.0f}s, peak RSS {peak_rss_mb():.0f} MB]"
+
+
 def main(ids: list[str]) -> int:
-    failed = []
+    status = 0
     for pid in ids:
         plan = PLAN[pid]
         pattern = bundled_pattern(pid)
         print(f"{pid}: t={pattern.t}, Delta={plan['delta']}, generating...", flush=True)
         t0 = time.time()
-
-        def cost() -> str:
-            return f"[{time.time() - t0:.0f}s, peak RSS {peak_rss_mb():.0f} MB]"
-
         try:
             cert, report, eps_min = generate(
                 pattern, plan["delta"],
@@ -69,20 +70,20 @@ def main(ids: list[str]) -> int:
                     {k: float(f"{v:.3e}") for k, v in e.residuals.items()}), file=sys.stderr)
             if getattr(e, "solver", None):
                 print(f"{pid}: solver: {json.dumps(e.solver)}", file=sys.stderr)
-            print(f"{pid}: no certificate written {cost()}", file=sys.stderr, flush=True)
-            failed.append(pid)
+            print(f"{pid}: no certificate written {cost(t0)}", file=sys.stderr, flush=True)
+            status = 1
             continue
         if not report.overall:
-            print(f"{pid}: exact verification failed: {report.failed_conditions()} {cost()}",
+            print(f"{pid}: exact verification failed: {report.failed_conditions()} {cost(t0)}",
                   file=sys.stderr, flush=True)
-            failed.append(pid)
+            status = 1
             continue
         out = DATA / "certs" / f"{pid}.json"
         save_certificate(cert, out)
         print(f"{pid}: verified exactly; eps = {float(cert.epsilon):.3e}, rate "
               f"coefficient {float(cert.pattern.avg_h - cert.epsilon):.9f} "
-              f"{cost()} -> {out}", flush=True)
-    return 1 if failed else 0
+              f"{cost(t0)} -> {out}", flush=True)
+    return status
 
 
 if __name__ == "__main__":
