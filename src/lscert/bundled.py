@@ -47,12 +47,8 @@ def _registry_entry(pattern_id: str) -> dict:
     return reg[pattern_id]
 
 
-def _pattern_of(entry: dict) -> StepsizePattern:
-    return StepsizePattern(tuple(rat_from_decimal(v) for v in entry["h"]))
-
-
 def bundled_pattern(pattern_id: str) -> StepsizePattern:
-    return _pattern_of(_registry_entry(pattern_id))
+    return StepsizePattern(tuple(rat_from_decimal(v) for v in _registry_entry(pattern_id)["h"]))
 
 
 def bundled_pattern_meta(pattern_id: str) -> dict[str, Fraction]:
@@ -73,7 +69,7 @@ def bundled_pattern_meta(pattern_id: str) -> dict[str, Fraction]:
                                     f"{pattern_id} reports no delta and epsilon")
         return {"delta": rat_from_decimal(entry["delta"]),
                 "epsilon": rat_from_decimal(entry["epsilon"])}
-    cert, pattern = load_certificate(path), _pattern_of(entry)
+    cert, pattern = load_certificate(path), bundled_pattern(pattern_id)
     if cert.pattern != pattern:
         raise CertificateError(
             f"{path}: certificate pattern h=({cert.pattern.as_text()}) is not registry "
